@@ -12,12 +12,12 @@ disk modelled), a 5 ms sequencer service time that caps the unbatched
 bus at ~200 writesets/s, and a 70/30 update/read mix offered well above
 that cap.  Sweep batch_max_messages; everything else fixed.
 
-The sweep runs with the full repro.obs surface attached (metrics
-registry, gauge sampler, trace): each measured point carries queue-depth
-and hole-age time-series in ``extras["metrics"]["obs"]["series"]`` and
-the commit-latency breakdown in ``extras["metrics"]["trace"]``; the
-time-series are also written standalone to ``results/batching_series.json``
-(the CI artifact).  Monitoring only *reads* simulator state, so the
+The sweep runs with the repro.obs surface attached (metrics registry,
+gauge sampler): each measured point carries queue-depth and hole-age
+time-series in ``extras["metrics"]["obs"]["series"]``, also written
+standalone to ``results/batching_series.json`` (the CI artifact).  A
+profiled run at batch 8 carries the commit-latency phase breakdown in
+``extras["profile"]``.  Monitoring only *reads* simulator state, so the
 measured throughput is identical with and without it — asserted below
 against a metrics-off control run at batch 8.
 """
@@ -62,7 +62,7 @@ def _slim(extras: dict) -> dict:
     return extras
 
 
-def _run_point(batch: int, obs: bool, span_trace: bool = False):
+def _run_point(batch: int, obs: bool, profile: bool = False):
     workload = make_mixed_workload(read_weight=READ_WEIGHT)
     return run_sirep(
         workload,
@@ -82,8 +82,7 @@ def _run_point(batch: int, obs: bool, span_trace: bool = False):
         label=f"batch={batch}",
         obs=obs,
         sampler_interval=SAMPLER_INTERVAL,
-        trace=obs,
-        span_trace=span_trace,
+        profile=profile,
     )
 
 
@@ -91,9 +90,10 @@ def _sweep():
     points = {batch: _run_point(batch, obs=True) for batch in BATCH_SIZES}
     # metrics-off control: monitoring must not move the measured numbers
     points["control"] = _run_point(8, obs=False)
-    # causal tracing on: span bookkeeping is pure Python dict/list work
-    # with no yields, so the sim-time numbers must not move either
-    points["traced"] = _run_point(8, obs=True, span_trace=True)
+    # causal tracing + profiling on: span bookkeeping is pure Python
+    # dict/list work with no yields, so the sim-time numbers must not
+    # move either
+    points["traced"] = _run_point(8, obs=True, profile=True)
     return points
 
 
@@ -168,9 +168,9 @@ def test_batching_throughput(benchmark):
     assert len(series) >= 10
     assert "R0.tocommit_depth" in series[0]
     assert "R0.oldest_hole_age" in series[0]
-    # the migrated trace breakdown kept its keys
-    trace = points[8].extras["metrics"]["trace"]
-    assert trace["n"] > 0 and "commit_queue_p95" in trace
+    # the profiled point carries the commit-latency phase breakdown
+    updates = traced.extras["profile"]["updates"]
+    assert updates["n"] > 0 and "p95_ms" in updates["phases"]["commit"]
     # monitoring is read-only: within 5% of the metrics-off control run
     assert abs(_update_tps(points[8]) - _update_tps(control)) <= (
         0.05 * _update_tps(control)
@@ -193,37 +193,21 @@ def test_batching_throughput(benchmark):
 # --------------------------------------------------------------- contention
 #
 # The contention lane: the same 800-tps update-heavy point, before and
-# after the contention engine (conflict-aware reordering + abort salvage
-# + blind-write deferral + commit pipelining).  Both sides run on
-# 2-core replicas: at one core the 800-tps point is compute-saturated
-# the moment salvage stops shedding 29% of the offered work as aborts,
-# so a 1-core comparison measures the CPU queue, not the conflict
-# machinery this lane exists to measure.  Everything else — offered
-# load, mix, costs, batch knobs, seed — matches the batching.json
-# 800-tps point, whose abort rate and update p95 are carried into
-# contention.json as the anchor.
+# after the contention engine (abort salvage + blind-write deferral +
+# commit pipelining).  Both sides run on 2-core replicas: at one core
+# the 800-tps point is compute-saturated the moment salvage stops
+# shedding 29% of the offered work as aborts, so a 1-core comparison
+# measures the CPU queue, not the conflict machinery this lane exists
+# to measure.  Everything else — offered load, mix, costs, batch knobs,
+# seed — matches the batching.json 800-tps point, whose abort rate and
+# update p95 are carried into contention.json as the anchor.
 
 CONTENTION_CPU_SERVERS = 2
 
 
 def _run_contention_point(
-    knobs_on: bool, duration: float, warmup: float, profile: bool = False
+    salvage: bool, duration: float, warmup: float, profile: bool = False
 ):
-    gcs = dict(
-        batch_max_messages=8,
-        batch_window=BATCH_WINDOW,
-        bus_service_time=BUS_SERVICE_TIME,
-    )
-    if knobs_on:
-        # adaptive window floors at the static window: it only ever
-        # WIDENS under a contention signal, so the idle behaviour is
-        # identical to the before side's fixed window
-        gcs.update(
-            reorder=True,
-            adaptive_window=True,
-            batch_window_min=BATCH_WINDOW,
-            batch_window_max=0.015,
-        )
     workload = make_mixed_workload(read_weight=READ_WEIGHT)
     return run_sirep(
         workload,
@@ -231,13 +215,17 @@ def _run_contention_point(
         n_replicas=N_REPLICAS,
         cost_model=BatchMicroCost,
         with_disk=True,
-        gcs=GcsConfig(**gcs),
+        gcs=GcsConfig(
+            batch_max_messages=8,
+            batch_window=BATCH_WINDOW,
+            bus_service_time=BUS_SERVICE_TIME,
+        ),
         group_commit=True,
         duration=duration,
         warmup=warmup,
         seed=0,
-        label="after" if knobs_on else "before",
-        salvage=knobs_on,
+        label="after" if salvage else "before",
+        salvage=salvage,
         cpu_servers=CONTENTION_CPU_SERVERS,
         profile=profile,
     )
@@ -255,7 +243,6 @@ def _contention_summary(point) -> dict:
         "certification_aborts": m.get("certification_aborts"),
         "salvaged_total": m.get("salvaged_total"),
         "salvage_rejects": m.get("salvage_rejects"),
-        "reordered_total": m.get("reordered_total"),
         "deferred_ww_total": m.get("deferred_ww_total"),
         "batch_window": m.get("batch_window"),
     }
@@ -331,14 +318,13 @@ def test_contention_salvage():
     )
     print(
         "contention after:  abort=%.4f cert_aborts=%s p95=%.1f tps=%.1f "
-        "salvaged=%s reordered=%s deferred=%s"
+        "salvaged=%s deferred=%s"
         % (
             after["abort_rate"],
             after["certification_aborts"],
             after["update_p95_ms"],
             after["update_tps"],
             after["salvaged_total"],
-            after["reordered_total"],
             after["deferred_ww_total"],
         )
     )
@@ -354,11 +340,9 @@ def test_contention_salvage():
         assert after["update_p95_ms"] <= anchor["update_p95_ms"]
     # the machinery actually engaged
     assert after["salvaged_total"] > 0
-    assert after["reordered_total"] > 0
     assert after["deferred_ww_total"] > 0
     # and the before side ran with all of it off
     assert before["salvaged_total"] == 0
-    assert before["reordered_total"] == 0
     assert before["deferred_ww_total"] == 0
 
 
@@ -416,7 +400,7 @@ def canonical_point(quick: bool = True) -> dict:
 
 
 def canonical_contention_point(quick: bool = True) -> dict:
-    """Contention anchor: the knobs-on side of the salvage comparison."""
+    """Contention anchor: the salvage side of the contention comparison."""
     duration, warmup = (3.0, 0.75) if quick else (6.0, 1.5)
     point = _run_contention_point(True, duration, warmup, profile=True)
     metrics = dict(_contention_summary(point))

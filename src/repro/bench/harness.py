@@ -130,7 +130,6 @@ def run_sirep(
     label: Optional[str] = None,
     obs: bool = False,
     sampler_interval: float = 0.25,
-    trace: bool = False,
     span_trace: bool = False,
     monitor: bool = False,
     read_replicas: int = 0,
@@ -156,8 +155,7 @@ def run_sirep(
     ``group_commit`` turns on per-replica commit-cost coalescing;
     ``obs`` attaches the repro.obs surface (registry + gauge sampler +
     event log — the measured point's ``extras["metrics"]["obs"]`` then
-    carries the queue-depth/hole-age time-series) and ``trace`` the
-    commit-milestone TraceLog (``extras["metrics"]["trace"]``).
+    carries the queue-depth/hole-age time-series).
     ``span_trace`` attaches the causal span Tracer and ``monitor`` the
     online 1-copy-SI monitor.  Monitoring only reads simulator state, so
     the measured numbers are identical with and without it.
@@ -184,7 +182,6 @@ def run_sirep(
             with_disk=with_disk,
             obs=obs,
             sampler_interval=sampler_interval,
-            trace=trace,
             span_trace=span_trace or profile,
             monitor=monitor,
             read_replicas=read_replicas,

@@ -98,7 +98,6 @@ TOLERANCES: dict[str, dict[str, Tol]] = {
         "certification_aborts": Tol(rel=0.5, abs=3.0),
         "salvaged_total": Tol(rel=0.5, abs=3.0),
         "salvage_rejects": Tol(rel=1.0, abs=3.0),
-        "reordered_total": Tol(rel=0.5, abs=3.0),
         "deferred_ww_total": Tol(rel=0.5, abs=3.0),
         "batch_window": Tol(rel=0.5, abs=1e-3),
     },

@@ -1,17 +1,15 @@
 """Shared key-indexed conflict tracking for the replication hot paths.
 
-Every conflict question the middleware asks — "does this writeset overlap
-anything queued?", "which queued predecessor blocks this entry?", "how
-many in-batch peers does this writeset touch?" — is a question about
-*(table, pk)* key overlap.  The linear-scan formulations are O(window ×
-|WS|) per question; the structures here answer them in O(|WS|) by keeping
-per-key postings, exactly as the certifier's ``_last_writer`` map already
-does for certification itself (see validation.py's module docstring).
+Every conflict question the to-commit queue asks — "does this writeset
+overlap anything queued?", "which queued predecessor blocks this
+entry?" — is a question about *(table, pk)* key overlap.  The linear-scan
+formulations are O(window × |WS|) per question; the index answers them
+in O(|WS|) by keeping per-key postings, exactly as the certifier's
+``_last_writer`` map already does for certification itself (see
+validation.py's module docstring).
 
 The module is deliberately leaf-level (stdlib only, no ``repro``
-imports): both ``repro.core.tocommit`` and ``repro.gcs.multicast`` use
-it, and those packages sit on opposite sides of the ``repro.core`` ->
-``repro.gcs`` import edge.
+imports).
 
 Observational equivalence with the linear scans is pinned by the
 property suite in ``tests/conformance/test_conflict_index_equivalence.py``
@@ -98,24 +96,3 @@ class KeyIndex:
     def __len__(self) -> int:
         return len(self._postings)
 
-
-def conflict_degrees(keysets: list[frozenset]) -> list[int]:
-    """In-batch conflict degree of each keyset: |{j != i : Ki ∩ Kj ≠ ∅}|.
-
-    One postings pass replaces the pairwise ``isdisjoint`` matrix; the
-    numbers are identical (each neighbour set is exactly the union of the
-    per-key posting lists, minus self), so a sort keyed on them yields
-    the same permutation as the quadratic version.
-    """
-    postings: dict[Key, list[int]] = {}
-    for i, keys in enumerate(keysets):
-        for key in keys:
-            postings.setdefault(key, []).append(i)
-    degrees = [0] * len(keysets)
-    for i, keys in enumerate(keysets):
-        neighbours: set[int] = set()
-        for key in keys:
-            neighbours.update(postings[key])
-        neighbours.discard(i)
-        degrees[i] = len(neighbours)
-    return degrees

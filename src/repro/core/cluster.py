@@ -76,8 +76,6 @@ class ClusterConfig:
     #: create a disk resource per replica (I/O-bound workloads, Fig. 6)
     with_disk: bool = False
     cpu_servers: int = 1
-    #: attach a TraceLog recording per-transaction commit milestones
-    trace: bool = False
     #: attach the repro.obs surface: metrics registry + per-replica gauge
     #: sampler + protocol event log (monitoring never perturbs the sim)
     obs: bool = False
@@ -110,12 +108,10 @@ class ClusterConfig:
     #: hosts, GCS members, and gids stay unique on a shared network.
     #: Must not contain ``"."`` or ``":"`` (reserved by the gid format).
     replica_prefix: str = "R"
-    #: attach the durability subsystem (repro.durable): per-replica
-    #: writeset logs + checkpoints, the cluster stability watermark, and
-    #: delta catch-up recovery as the default recovery mode
-    durable: bool = False
-    #: durability knobs (implies ``durable`` when set): log dir,
-    #: checkpoint interval, truncation policy, flush costs
+    #: attach the durability subsystem (repro.durable) when set:
+    #: per-replica writeset logs + checkpoints, the cluster stability
+    #: watermark, and delta catch-up recovery as the default recovery
+    #: mode.  ``DurabilityConfig()`` gives in-memory logs with defaults.
     durability: Optional[DurabilityConfig] = None
     #: read-scaling tier (repro.reader): lazy read-only replicas created
     #: at bootstrap, named ``f"{replica_prefix}r{i}"`` — subscribed to
@@ -191,31 +187,14 @@ class SIRepCluster:
                 ),
             )
             self.bus = bus if bus is not None else GroupBus(self.sim, config=cfg.gcs)
-        #: adaptive batch windows: point the bus at this cluster's
-        #: contention estimate unless a sharded deployment wired its own
-        self._signal_prev = (0, 0)
-        self._signal_ema = 0.0
-        if cfg.gcs.adaptive_window and self.bus.contention_signal is None:
-            self.bus.contention_signal = self.contention_signal
         self.discovery = (
             discovery if discovery is not None else DiscoveryService(self.sim)
         )
         #: durable state shared across incarnations; pass an external
         #: DurabilityStore to make it outlive the cluster (cold restart)
-        durability_cfg = cfg.durability
-        if (
-            self.clock == "wall"
-            and durability_cfg is not None
-            and durability_cfg.log_dir is not None
-            and not durability_cfg.fsync
-        ):
-            # on real hardware a disk-backed log pays for its durability
-            from dataclasses import replace as _dc_replace
-
-            durability_cfg = _dc_replace(durability_cfg, fsync=True)
         self.durable_store = durability if durability is not None else (
-            DurabilityStore(durability_cfg)
-            if (cfg.durable or durability_cfg is not None)
+            DurabilityStore(cfg.durability)
+            if cfg.durability is not None
             else None
         )
         self._cold_start = cold_start
@@ -234,15 +213,6 @@ class SIRepCluster:
         #: a shared (sharded) Observability is snapshotted by its owner,
         #: not duplicated into every group's metrics()
         self._owns_obs = obs is None and self.obs is not None
-        from repro.core.tracing import TraceLog
-
-        # the trace aggregates onto the shared registry when one exists,
-        # so breakdown histograms appear next to the sampler gauges
-        self.trace = (
-            TraceLog(registry=self.obs.registry if self.obs else None)
-            if cfg.trace
-            else None
-        )
         if self.obs is not None:
             self._register_bus_gauges()
         #: shared across groups in a sharded deployment (one trace store,
@@ -327,11 +297,14 @@ class SIRepCluster:
         # The network address IS the replica name, so view changes and
         # driver-side crash observations speak about the same identifier.
         host = self.network.register(name)
-        durable = (
-            self.durable_store.replica(name)
-            if self.durable_store is not None
-            else None
-        )
+        durable = None
+        if self.durable_store is not None:
+            durable = self.durable_store.replica(name)
+            # the one forcing rule, for built and supplied stores alike:
+            # a disk-backed log pays for its durability on real hardware
+            durable.log.fsync = (
+                self.clock == "wall" and durable.log.directory is not None
+            )
         replica = MiddlewareReplica(
             self.sim,
             name=name,
@@ -352,7 +325,6 @@ class SIRepCluster:
             feed=self.feed,
             salvage=cfg.salvage,
         )
-        replica.trace = self.trace
         replica.tracer = self.tracer
         replica.manager.tracer = self.tracer
         replica.manager.commit_pipeline = (
@@ -546,44 +518,6 @@ class SIRepCluster:
                 f"monitor:{violation.kind}", violation=violation.to_dict()
             )
 
-    def contention_signal(self) -> float:
-        """0..1 contention estimate feeding the adaptive batch window.
-
-        Combines an EMA of the certification abort fraction (delta since
-        the last sample, so the signal tracks the present, not the whole
-        run) with the age of the oldest hole across replicas: either one
-        saturating means the cluster is paying for conflicts and the bus
-        should hold batches open longer for the reorder/salvage machinery.
-        Hole AGE, not count: a couple of in-flight holes is the normal
-        pipeline state at any instant, but a hole outliving several batch
-        windows is a commit stalled behind conflicts.
-        """
-        certifier = next(
-            (r.certifier for r in self.replicas if r.alive), None
-        )
-        if certifier is None:
-            return self._signal_ema
-        decisions, rejects = certifier.decisions, certifier.rejected
-        prev_decisions, prev_rejects = self._signal_prev
-        # recovery can swap in a certifier with reset counters: clamp
-        delta_d = max(0, decisions - prev_decisions)
-        delta_r = max(0, rejects - prev_rejects)
-        self._signal_prev = (decisions, rejects)
-        if delta_d:
-            fraction = delta_r / delta_d
-            self._signal_ema = 0.5 * self._signal_ema + 0.5 * fraction
-        oldest = max(
-            (
-                r.manager.holes.oldest_hole_age(self.sim.now)
-                for r in self.replicas
-                if r.alive
-            ),
-            default=0.0,
-        )
-        # saturate when a hole has outlived ~8 base batch windows
-        horizon = 8.0 * max(self.config.gcs.batch_window, 1e-6)
-        return max(self._signal_ema, min(1.0, oldest / horizon))
-
     def _bus_label(self) -> str:
         """Gauge-name prefix for this cluster's GCS bus: ``gcs`` for a
         standalone deployment, ``G<k>.gcs`` for a sharded group (derived
@@ -598,9 +532,6 @@ class SIRepCluster:
         registry.gauge(f"{label}.buffer_occupancy", lambda: len(bus._batch_buffer))
         registry.gauge(f"{label}.mean_batch_size", lambda: bus.mean_batch_size)
         registry.gauge(f"{label}.delivered_entries", lambda: bus.delivered_count)
-        registry.gauge(f"{label}.reordered_entries", lambda: bus.reordered_entries)
-        registry.gauge(f"{label}.reordered_batches", lambda: bus.reordered_batches)
-        registry.gauge(f"{label}.batch_window", lambda: bus.current_window)
         if self.stability is not None:
             tracker = self.stability
             registry.gauge(f"{label}.stable_watermark", tracker.stable_seq)
@@ -1029,10 +960,9 @@ class SIRepCluster:
             "gcs_deliveries": self.bus.delivered_count,
             "gcs_batches": self.bus.delivered_batches,
             "gcs_mean_batch_size": self.bus.mean_batch_size,
-            # contention-engine counters: certification is deterministic
-            # and identical everywhere, so the cluster-level salvage
-            # totals are the max over replicas, not the sum
-            "reordered_total": self.bus.reordered_entries,
+            # salvage counters: certification is deterministic and
+            # identical everywhere, so the cluster-level totals are the
+            # max over replicas, not the sum
             "salvaged_total": max(
                 (r.certifier.salvaged for r in self.replicas), default=0
             ),
@@ -1042,7 +972,7 @@ class SIRepCluster:
             # per-replica engine counter (blind stages that skipped the
             # eager first-updater check): a sum, unlike the cert totals
             "deferred_ww_total": sum(r.db.deferred_ww for r in self.replicas),
-            "batch_window": self.bus.current_window,
+            "batch_window": self.bus.config.batch_window,
             "replicas": per_replica,
         }
         if self.readers:
@@ -1050,9 +980,6 @@ class SIRepCluster:
             out["feed"] = self.feed.metrics()
         if self.stability is not None:
             out["stable_watermark"] = self.stability.stable_seq()
-        if self.trace is not None:
-            out["trace"] = self.trace.breakdown()
-            out["trace_batches"] = self.trace.batch_breakdown()
         if self.tracer is not None and self._owns_tracer:
             out["span_trace"] = {
                 "started": self.tracer.started,

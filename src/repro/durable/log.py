@@ -145,15 +145,17 @@ class WritesetLog:
 
     def __init__(self, name: str, segment_records: int = 256,
                  fsync_time: float = 0.0002, byte_time: float = 2e-9,
-                 directory: Optional[Path] = None, fsync: bool = False):
+                 directory: Optional[Path] = None):
         self.name = name
         self.segment_records = max(1, segment_records)
         self.fsync_time = fsync_time
         self.byte_time = byte_time
         self.directory = Path(directory) if directory is not None else None
-        #: call os.fsync on each group-commit flush (real-time runtime:
-        #: durability is paid for, not just accounted); needs ``directory``
-        self.fsync = fsync
+        #: call os.fsync on each group-commit flush.  The owning cluster
+        #: sets this: true exactly when the log has a directory and the
+        #: cluster runs on the wall clock (durability paid for, not just
+        #: accounted)
+        self.fsync = False
         self.fsyncs = 0
         #: durable records, oldest first; the last segment is the active one
         self.segments: list[Segment] = []

@@ -40,10 +40,6 @@ class DurabilityConfig:
     log_byte_time: float = 2e-9
     #: simulated seconds between truncation sweeps
     truncate_interval: float = 1.0
-    #: really os.fsync each group-commit flush (requires ``log_dir``);
-    #: the wall-clock runtime turns this on so durability is measured,
-    #: not simulated
-    fsync: bool = False
 
     def __post_init__(self):
         if self.truncation not in POLICIES:
@@ -63,7 +59,6 @@ class ReplicaDurability:
             fsync_time=config.log_fsync_time,
             byte_time=config.log_byte_time,
             directory=(base / name / "log") if base is not None else None,
-            fsync=config.fsync and base is not None,
         )
         self.checkpoints = CheckpointStore(
             name,

@@ -22,7 +22,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.conflictindex import conflict_degrees
 from repro.errors import GcsError, NotAMember
 from repro.sim import Queue, Simulator
 
@@ -59,17 +58,6 @@ class GcsConfig:
     batch_window: float = 0.0005
     #: serial sequencer occupancy per ordered fan-out (0 = free sequencer)
     bus_service_time: float = 0.0
-    #: conflict-aware reordering of each batch *before* sequence numbers
-    #: are assigned: non-conflicting writesets commute forward so a
-    #: high-conflict-degree entry cannot kill several independents
-    reorder: bool = False
-    #: scale the batch window with the bus's contention signal (set by
-    #: the cluster from its abort-rate/hole-depth gauges)
-    adaptive_window: bool = False
-    #: adaptive window range; idle clusters flush near ``batch_window_min``,
-    #: contended ones hold batches open up to ``batch_window_max``
-    batch_window_min: float = 0.0005
-    batch_window_max: float = 0.02
 
 
 @dataclass(frozen=True)
@@ -201,15 +189,6 @@ class GroupBus:
         self._busy_until = 0.0
         self.sequenced_batches = 0
         self.batched_entries = 0
-        #: batches whose sequencing order differs from arrival order /
-        #: entries that moved — the reorder engine's win counters
-        self.reordered_batches = 0
-        self.reordered_entries = 0
-        #: optional 0..1 callable sampled when a batch opens; the cluster
-        #: wires its abort/hole gauges here for adaptive windows
-        self.contention_signal = None
-        #: last batch window actually used (gauge)
-        self.current_window = self.config.batch_window
         #: optional repro.durable.watermark.StabilityTracker; when set,
         #: sequencing piggybacks each sender's durable_seq ack onto the
         #: traffic it was already sending
@@ -314,7 +293,7 @@ class GroupBus:
                 self._batch_opened_at = self.sim.now
                 epoch = self._batch_epoch
                 self.sim.call_at(
-                    self.sim.now + self._window(),
+                    self.sim.now + self.config.batch_window,
                     lambda: self._flush_batch(epoch),
                 )
             self._batch_buffer.append((sender, payload, sent_at))
@@ -355,8 +334,6 @@ class GroupBus:
         ]
         if not live:
             return  # every held payload died with its sender: never sequenced
-        if self.config.reorder and len(live) > 1:
-            live = self._reorder(live)
         entries = tuple(
             Message(
                 seq=next(self._seq),
@@ -377,76 +354,6 @@ class GroupBus:
         self.sequenced_batches += 1
         self.batched_entries += len(entries)
         self._dispatch(batch)
-
-    def _window(self) -> float:
-        """Batch window for the buffer being opened now.
-
-        With ``adaptive_window`` on and a contention signal wired, the
-        window scales linearly across ``[batch_window_min,
-        batch_window_max]`` with the signal (clamped to 0..1): idle
-        clusters flush almost immediately, contended ones hold batches
-        open so the reorder/salvage machinery sees more commutable
-        entries per flush.
-        """
-        cfg = self.config
-        if not cfg.adaptive_window or self.contention_signal is None:
-            return cfg.batch_window
-        signal = min(1.0, max(0.0, float(self.contention_signal())))
-        self.current_window = cfg.batch_window_min + signal * (
-            cfg.batch_window_max - cfg.batch_window_min
-        )
-        return self.current_window
-
-    @staticmethod
-    def _payload_conflict_info(payload: Any):
-        """(writeset keys, cert) of a writeset payload, else None.
-
-        The sequencer treats payload internals as opaque except for this
-        peek: replication writesets travel as ``("ws", gid, writeset,
-        cert, ...)`` tuples (see srca_rep).  Anything else in a batch
-        disables reordering for that batch — correctness first.
-        """
-        if (
-            isinstance(payload, tuple)
-            and len(payload) >= 4
-            and payload[0] == "ws"
-            and hasattr(payload[2], "keys")
-            and isinstance(payload[3], int)
-        ):
-            return payload[2].keys, payload[3]
-        return None
-
-    def _reorder(
-        self, live: list[tuple[GroupMember, Any, float]]
-    ) -> list[tuple[GroupMember, Any, float]]:
-        """Deterministically reorder a batch *before* sequencing.
-
-        Runs at the sequencer — the single ordering point — so the result
-        simply IS the total order; every replica certifies the same
-        permutation.  Entries are sorted by (in-batch conflict degree
-        ascending, cert descending, arrival index): independents go
-        first so one hub writeset cannot kill several of them, and among
-        conflicting peers the freshest snapshot wins.  Arrival index
-        breaks all remaining ties, so the permutation is a pure function
-        of batch content.
-        """
-        infos = [self._payload_conflict_info(payload) for _, payload, _ in live]
-        if any(info is None for info in infos):
-            return live  # non-writeset traffic in the batch: keep arrival order
-        keysets = [info[0] for info in infos]
-        # one postings pass instead of the pairwise isdisjoint matrix;
-        # identical numbers, so identical layouts (the reorder-equivalence
-        # suite pins this)
-        degree = conflict_degrees(keysets)
-        order = sorted(
-            range(len(live)),
-            key=lambda i: (degree[i], -infos[i][1], i),
-        )
-        moved = sum(1 for pos, i in enumerate(order) if pos != i)
-        if moved:
-            self.reordered_batches += 1
-            self.reordered_entries += moved
-        return [live[i] for i in order]
 
     def _dispatch(self, item: Any) -> None:
         """Fan out through the serial sequencer.

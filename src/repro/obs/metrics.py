@@ -6,7 +6,7 @@ Cecchet et al. note that middleware replication prototypes rarely expose
 the metrics surface a deployment needs.  This module is that surface's
 foundation: a :class:`MetricsRegistry` every component hangs its
 instruments on, with one quantile implementation shared by histograms and
-the commit-latency trace (factored out of ``repro.core.tracing``).
+the critical-path profiler (``repro.obs.profile``).
 
 All instruments are plain in-process objects — reading them never blocks
 and never perturbs the simulation (no yields, no RNG draws), so a run

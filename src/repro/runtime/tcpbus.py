@@ -1,10 +1,10 @@
 """The group communication bus carried over real TCP sockets.
 
 :class:`TcpGroupBus` keeps the sequencer logic of
-:class:`repro.gcs.multicast.GroupBus` — total ordering, batching,
-reordering, view changes, serial occupancy, the stability watermark —
-and swaps the message transport: every member gets a dedicated loopback
-TCP channel to the bus host, multicasts travel member→bus as pickled
+:class:`repro.gcs.multicast.GroupBus` — total ordering, batching, view
+changes, serial occupancy, the stability watermark — and swaps the
+message transport: every member gets a dedicated loopback TCP channel
+to the bus host, multicasts travel member→bus as pickled
 frames, and ordered items (``Message`` / ``Batch`` / ``ViewChange``)
 fan out bus→member the same way.  TCP's FIFO replaces the simulated
 per-member monotone-delivery clamp; each member receives a pickled

@@ -56,7 +56,6 @@ class ShardConfig:
     cost_model: Optional[Callable[[int], CostModel]] = None
     with_disk: bool = False
     cpu_servers: int = 1
-    trace: bool = False
     #: one shared repro.obs surface across every group: the groups write
     #: into a single registry/event log, one sampler probes all gauges
     obs: bool = False
@@ -76,11 +75,9 @@ class ShardConfig:
     #: "hash" (balanced, deterministic) or "explicit" (requires table_map)
     partition: str = "hash"
     table_map: Optional[dict[str, int]] = None
-    #: attach the durability subsystem to every group: per-replica
-    #: writeset logs (names are globally unique via the group prefix),
-    #: per-group stability watermarks, delta catch-up recovery
-    durable: bool = False
-    #: durability knobs shared by all groups (implies ``durable``)
+    #: attach the durability subsystem to every group when set:
+    #: per-replica writeset logs (names are globally unique via the group
+    #: prefix), per-group stability watermarks, delta catch-up recovery
     durability: Optional[DurabilityConfig] = None
     #: lazy read replicas attached to each group's certified feed
     #: (named ``G<i>-Rr<j>``), registered under ``role="read"`` on that
@@ -178,7 +175,7 @@ class ShardedCluster:
         #: directory and a single handle suffices for cold restart
         self.durable_store = durability if durability is not None else (
             DurabilityStore(cfg.durability)
-            if (cfg.durable or cfg.durability is not None)
+            if cfg.durability is not None
             else None
         )
         self.groups: list[SIRepCluster] = []
@@ -193,7 +190,6 @@ class ShardedCluster:
                 cost_model=cfg.cost_model,
                 with_disk=cfg.with_disk,
                 cpu_servers=cfg.cpu_servers,
-                trace=cfg.trace,
                 monitor=cfg.monitor,
                 monitor_interval=cfg.monitor_interval,
                 max_sessions=cfg.max_sessions,

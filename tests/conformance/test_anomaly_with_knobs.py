@@ -1,8 +1,8 @@
 """The §4.3.2 Ta/Tb anomaly kit re-run with the contention knobs ON.
 
-Reordering, salvage, and adaptive windows must not mask the anomaly the
-paper's adjustment 3 exists to fix (Ti and Tj write *different* keys, so
-neither knob may touch their fate), and must not weaken the fix: with
+Salvage and batching must not mask the anomaly the paper's adjustment 3
+exists to fix (Ti and Tj write *different* keys, so neither knob may
+touch their fate), and must not weaken the fix: with
 hole tracking on, 1-copy-SI still holds — online and offline — even
 under crash fuzz.
 """
@@ -17,14 +17,7 @@ from repro.gcs import GcsConfig
 from repro.storage.engine import CostModel
 from repro.testing import query
 
-KNOBBED_GCS = dict(
-    batch_max_messages=2,
-    batch_window=0.2,
-    reorder=True,
-    adaptive_window=True,
-    batch_window_min=0.05,
-    batch_window_max=0.3,
-)
+KNOBBED_GCS = dict(batch_max_messages=2, batch_window=0.2)
 
 
 class SlowApply(CostModel):
@@ -80,9 +73,9 @@ def run_batched_scenario(hole_sync):
 
 
 def test_knobs_do_not_mask_the_batched_anomaly():
-    """Disjoint writesets: salvage has nothing to refresh and reordering
-    nothing to move, so the hole-induced Ta/Tb divergence still shows up
-    and the auditor still flags it."""
+    """Disjoint writesets: salvage has nothing to refresh, so the
+    hole-induced Ta/Tb divergence still shows up and the auditor still
+    flags it."""
     cluster, reads = run_batched_scenario(hole_sync=False)
     assert reads["Ta"] == {1: 11, 2: 0}
     assert reads["Tb"] == {1: 0, 2: 22}
@@ -114,8 +107,8 @@ def test_knobs_do_not_weaken_adjustment_three():
     recover=st.booleans(),
 )
 def test_crash_fuzz_with_knobs_keeps_monitor_clean(seed, crash_at, victim, recover):
-    """Random crash/recovery under contended load with every new knob
-    on: the *online* Def. 3 monitor must flag zero violations and the
+    """Random crash/recovery under contended load with salvage and
+    batching on: the *online* Def. 3 monitor must flag zero violations and the
     offline audit must agree."""
     cluster = SIRepCluster(
         ClusterConfig(
@@ -123,14 +116,7 @@ def test_crash_fuzz_with_knobs_keeps_monitor_clean(seed, crash_at, victim, recov
             seed=seed,
             salvage=True,
             monitor=True,
-            gcs=GcsConfig(
-                batch_max_messages=4,
-                batch_window=0.002,
-                reorder=True,
-                adaptive_window=True,
-                batch_window_min=0.0005,
-                batch_window_max=0.01,
-            ),
+            gcs=GcsConfig(batch_max_messages=4, batch_window=0.002),
         )
     )
     sim = cluster.sim

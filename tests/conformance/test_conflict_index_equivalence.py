@@ -1,7 +1,7 @@
 """Property suite: the key-indexed hot-path structures are observationally
 identical to the pinned linear-scan oracles in ``repro.core._reference``.
 
-Three layers are locked down (DESIGN.md §4j):
+Two layers are locked down (DESIGN.md §4j):
 
 * :class:`ToCommitQueue` vs :class:`ReferenceToCommitQueue` on random
   append/extend/remove/install interleavings, crash-prefix rebuilds
@@ -10,9 +10,7 @@ Three layers are locked down (DESIGN.md §4j):
 * :class:`Certifier` with window GC at arbitrarily chosen *valid*
   floors vs :class:`ReferenceCertifier` (unbounded) on random
   certification streams — salvage on and off, mid-stream clone() forks,
-  and checkpoint JSON roundtrips carrying the floor;
-* :func:`conflict_degrees` vs the pairwise-intersection formulation the
-  GCS reorder pass used before.
+  and checkpoint JSON roundtrips carrying the floor.
 """
 
 import copy
@@ -20,7 +18,6 @@ import copy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.conflictindex import conflict_degrees
 from repro.core._reference import ReferenceCertifier, ReferenceToCommitQueue
 from repro.core.tocommit import Entry, ToCommitQueue
 from repro.core.validation import Certifier, WsRecord
@@ -240,20 +237,3 @@ def test_checkpoint_roundtrip_resumes_identically(specs, salvage, data):
         assert r_new.salvaged == r_ref.salvaged
     assert restored.floor_aborts == 0
 
-
-# ------------------------------------------------------- GCS reorder degrees
-
-
-@settings(max_examples=120, deadline=None)
-@given(sets=st.lists(st.frozensets(st.sampled_from(KEYS), max_size=4),
-                     max_size=12))
-def test_conflict_degrees_match_pairwise_intersection(sets):
-    expected = [
-        sum(
-            1
-            for j, other in enumerate(sets)
-            if j != i and not other.isdisjoint(mine)
-        )
-        for i, mine in enumerate(sets)
-    ]
-    assert conflict_degrees(sets) == expected

@@ -8,23 +8,18 @@ its write was blind — and the decision must survive batching layout
 
 from repro.client import Driver
 from repro.core import ClusterConfig, SIRepCluster
+from repro.durable import DurabilityConfig
 from repro.gcs import GcsConfig
 from repro.testing import query
 
 
-def build(salvage=True, durable=False, batch_max=4, window=0.05, n=2, seed=3,
-          **cfg):
+def build(salvage=True, batch_max=4, window=0.05, n=2, seed=3, **cfg):
     cluster = SIRepCluster(
         ClusterConfig(
             n_replicas=n,
             salvage=salvage,
-            durable=durable,
             seed=seed,
-            gcs=GcsConfig(
-                batch_max_messages=batch_max,
-                batch_window=window,
-                reorder=True,
-            ),
+            gcs=GcsConfig(batch_max_messages=batch_max, batch_window=window),
             **cfg,
         )
     )
@@ -208,7 +203,7 @@ def test_recovered_replica_carries_salvage_state():
     """Crash/recover between two salvage races: the new incarnation must
     rebuild salvage mode + certifier state and keep deciding identically
     with the survivors (clone/checkpoint/log-replay path)."""
-    cluster = build(durable=True, n=3)
+    cluster = build(durability=DurabilityConfig(), n=3)
     sim = cluster.sim
     results = race(cluster, [
         ("UPDATE kv SET v = ? WHERE k = ?", (11, 1)),

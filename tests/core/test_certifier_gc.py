@@ -7,6 +7,7 @@ import pytest
 from repro.client import Driver
 from repro.core import ClusterConfig, SIRepCluster
 from repro.core.validation import Certifier, WsRecord
+from repro.durable import DurabilityConfig
 from repro.durable.checkpoint import Checkpoint
 from repro.gcs import GcsConfig
 from repro.storage.writeset import DELETE, UPDATE, WriteOp, WriteSet
@@ -149,12 +150,10 @@ def _run_churn_cluster(seed=11, keys=240, txns_per_client=90, gc=True,
         ClusterConfig(
             n_replicas=3,
             seed=seed,
-            durable=True,
+            durability=DurabilityConfig(),
             salvage=True,
             group_commit=True,
-            gcs=GcsConfig(
-                batch_max_messages=4, batch_window=0.004, reorder=True
-            ),
+            gcs=GcsConfig(batch_max_messages=4, batch_window=0.004),
         )
     )
     cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
@@ -227,8 +226,8 @@ def test_certifier_window_plateaus_under_key_churn():
 
 
 def test_gc_is_decision_invisible_with_crash_and_recovery():
-    """The same seeded workload — salvage, batching, reorder, group
-    commit, a crash and a delta recovery — must produce identical
+    """The same seeded workload — salvage, batching, group commit, a
+    crash and a delta recovery — must produce identical
     outcomes and final states with the GC sweeping vs. disabled."""
     def fingerprint(gc):
         cluster, _ = _run_churn_cluster(gc=gc, crash_recover=True)

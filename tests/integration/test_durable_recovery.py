@@ -15,11 +15,11 @@ from repro.durable import DurabilityConfig, DurabilityStore
 from repro.testing import query
 
 
-def make_cluster(n=3, seed=1, durability=None, store=None, **cfg_kwargs):
+def make_cluster(n=3, seed=1, durability=DurabilityConfig(), store=None,
+                 **cfg_kwargs):
     cfg = ClusterConfig(
         n_replicas=n,
         seed=seed,
-        durable=True,
         durability=durability,
         monitor=True,
         **cfg_kwargs,
@@ -328,7 +328,7 @@ def test_cold_restart_from_memory_store():
     expected, tips = run_traffic_then_stop(store)
     assert tips[0] > 2  # traffic actually reached the logs
 
-    cfg = ClusterConfig(n_replicas=3, seed=32, durable=True, monitor=True)
+    cfg = ClusterConfig(n_replicas=3, seed=32, monitor=True)
     cluster = SIRepCluster.cold_restart(cfg, store)
     states = all_states(cluster)
     assert len(states) == 3
@@ -353,7 +353,7 @@ def test_cold_restart_from_disk(tmp_path):
 
     fresh_store = DurabilityStore(DurabilityConfig(log_dir=tmp_path / "wal"))
     assert fresh_store.names() == ["R0", "R1", "R2"]
-    cfg = ClusterConfig(n_replicas=3, seed=34, durable=True, monitor=True)
+    cfg = ClusterConfig(n_replicas=3, seed=34, monitor=True)
     cluster = SIRepCluster.cold_restart(cfg, fresh_store)
     states = all_states(cluster)
     assert set(states.values()) == {expected}
@@ -378,7 +378,7 @@ def test_cold_restart_levels_a_replica_with_a_shorter_log():
         removed = r2_log.segments[-1].records.pop()
         r2_log.durable_seq = r2_log.tip_seq = removed.seq - 1
 
-    cfg = ClusterConfig(n_replicas=3, seed=36, durable=True)
+    cfg = ClusterConfig(n_replicas=3, seed=36)
     cluster2 = SIRepCluster.cold_restart(cfg, store)
     states = all_states(cluster2)
     assert set(states.values()) == {expected}
@@ -389,7 +389,7 @@ def test_cold_restart_levels_a_replica_with_a_shorter_log():
 def test_cold_restart_watermark_resumes_where_it_left_off():
     store = DurabilityStore(DurabilityConfig())
     _expected, tips = run_traffic_then_stop(store, seed=37)
-    cfg = ClusterConfig(n_replicas=3, seed=38, durable=True)
+    cfg = ClusterConfig(n_replicas=3, seed=38)
     cluster = SIRepCluster.cold_restart(cfg, store)
     assert cluster.stability.stable_seq() == min(tips)
 

@@ -114,7 +114,7 @@ def test_harness_output_round_trips_as_strict_json(tmp_path):
         seed=2,
         obs=True,
         sampler_interval=0.1,
-        trace=True,
+        profile=True,
     )
     path = tmp_path / "point.json"
     blob = {
@@ -125,7 +125,8 @@ def test_harness_output_round_trips_as_strict_json(tmp_path):
     path.write_text(json.dumps(blob, allow_nan=False))  # NaN would raise here
     loaded = json.loads(path.read_text())
     metrics = loaded["extras"]["metrics"]
-    assert metrics["trace"]["n"] > 0
-    assert "commit_queue_p95" in metrics["trace"]
+    updates = loaded["extras"]["profile"]["updates"]
+    assert updates["n"] > 0
+    assert "p95_ms" in updates["phases"]["local_execution"]
     assert len(metrics["obs"]["series"]) >= 5
     assert "R0.tocommit_depth" in metrics["obs"]["series"][0]

@@ -36,7 +36,7 @@ def test_fig5_opt_out_restores_in_place_reads():
 
 def test_read_your_writes_survives_contention_knobs():
     """A session's own commit is visible through the routed read path —
-    token-enforced — while salvage/reorder/adaptive windows are live and
+    token-enforced — while salvage and batching are live and
     the chosen reader demonstrably lags the write."""
     cluster = SIRepCluster(
         ClusterConfig(
@@ -45,14 +45,7 @@ def test_read_your_writes_survives_contention_knobs():
             salvage=True,
             read_replicas=1,
             reader=ReaderConfig(apply_delay=0.05),
-            gcs=GcsConfig(
-                batch_max_messages=4,
-                batch_window=0.002,
-                reorder=True,
-                adaptive_window=True,
-                batch_window_min=0.0005,
-                batch_window_max=0.01,
-            ),
+            gcs=GcsConfig(batch_max_messages=4, batch_window=0.002),
         )
     )
     sim = cluster.sim

@@ -271,7 +271,6 @@ def test_monitoring_is_read_only():
             seed=4,
             obs=obs,
             sampler_interval=0.1,
-            trace=obs,
             span_trace=obs,
             monitor=obs,
         )

@@ -46,8 +46,7 @@ def test_audit_includes_caught_up_readers():
 
 def test_durable_join_replays_log_and_stays_auditable():
     cluster = make_cluster(
-        read_replicas=0, durable=True,
-        durability=DurabilityConfig(),
+        read_replicas=0, durability=DurabilityConfig(),
     )
     run_updates(cluster, n=6)
     reader = cluster.add_reader()

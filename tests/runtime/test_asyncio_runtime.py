@@ -1,10 +1,12 @@
-"""AsyncioRuntime-specific behavior: graceful shutdown and resource hygiene.
+"""AsyncioRuntime-specific behavior: graceful shutdown, resource hygiene
+and real durability.
 
 The contract tests prove the wall runtime schedules like the simulator;
 these prove it *cleans up* like a real server — ``stop()`` fails blocked
 waiters instead of leaking them, closes every socket and timer, and a
 process can start and stop clusters repeatedly without accumulating
-file descriptors or hanging.
+file descriptors or hanging — and that a disk-backed log on the wall
+clock really forces its writes, however its store was handed over.
 """
 
 import os
@@ -171,3 +173,41 @@ def test_queue_survives_stop_without_leak_warnings():
         assert rt2.run_process(proc()) == "fresh"
     finally:
         rt2.stop()
+
+
+def _commit_one(cluster) -> None:
+    from repro.client import Driver
+
+    cluster.load_schema(["CREATE TABLE kv (k INT PRIMARY KEY, v INT)"])
+    cluster.bulk_load("kv", [{"k": 1, "v": 0}])
+    driver = Driver(cluster.network, cluster.discovery)
+
+    def txn():
+        conn = yield from driver.connect(cluster.new_client_host(), address="R0")
+        yield from conn.execute("UPDATE kv SET v = ? WHERE k = ?", (1, 1))
+        yield from conn.commit()
+
+    cluster.sim.run_process(txn())
+    cluster.sim.run()
+
+
+@pytest.mark.parametrize("runtime", ["wall", "sim"])
+def test_supplied_disk_store_fsyncs_exactly_on_the_wall_clock(tmp_path, runtime):
+    """A disk-backed store handed in from outside (the cold-restart path)
+    obeys the same forcing rule as one the cluster builds itself: fsync
+    on the wall clock, never in the simulator."""
+    from repro.core import ClusterConfig, SIRepCluster
+    from repro.durable import DurabilityConfig, DurabilityStore
+
+    cluster = SIRepCluster(
+        ClusterConfig(runtime=runtime),
+        durability=DurabilityStore(DurabilityConfig(log_dir=tmp_path)),
+    )
+    try:
+        _commit_one(cluster)
+        wall = runtime == "wall"
+        for replica in cluster.replicas:
+            assert replica.wslog.fsync is wall
+            assert (replica.wslog.fsyncs > 0) is wall
+    finally:
+        cluster.stop()

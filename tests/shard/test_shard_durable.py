@@ -16,7 +16,7 @@ def build_cluster(seed=1, store=None, cold=False):
         seed=seed,
         partition="explicit",
         table_map=TABLE_MAP,
-        durable=True,
+        durability=DurabilityConfig(),
     )
     if cold:
         return ShardedCluster.cold_restart(config, store)
