@@ -26,9 +26,7 @@ from repro.obs import (
     sanitize,
 )
 from repro.reader import CertifiedFeed, ReaderConfig, ReadReplica
-from repro.si import check_one_copy_si, recorded_schedules
-from repro.si.onecopy import OneCopyReport
-from repro.si.schedule import BEGIN, COMMIT, Schedule, TxnSpec
+from repro.si.onecopy import OneCopyGraph, OneCopyReport
 from repro.sim import Resource, Simulator
 from repro.storage import Database
 from repro.storage.engine import CostModel
@@ -91,8 +89,6 @@ class ClusterConfig:
     #: commit/begin histories, flagging violations at the sim time they
     #: become observable
     monitor: bool = False
-    #: monitor poll cadence in simulated seconds
-    monitor_interval: float = 0.05
     #: attach a crash flight recorder (repro.obs.flight): a bounded ring
     #: of recent spans/events snapshotted on crash, failed audit, or
     #: monitor violation
@@ -225,7 +221,6 @@ class SIRepCluster:
         self.monitor = (
             OneCopyMonitor(
                 self.sim,
-                interval=cfg.monitor_interval,
                 obs=self.obs,
                 on_violation=self._on_monitor_violation,
             )
@@ -405,7 +400,7 @@ class SIRepCluster:
         self.monitor.watch(
             reader.name,
             reader.db,
-            covered=frozenset(reader.covered_gids),
+            covered=reader.replayed,
             grace=self.reader_config.staleness_grace,
         )
 
@@ -755,11 +750,7 @@ class SIRepCluster:
                 # re-watch with the replayed prefix marked covered: those
                 # gids committed here via log replay, before any event
                 # the history will record
-                self.monitor.watch(
-                    name,
-                    replica.db,
-                    covered=frozenset(gid for gid, _keys in replica.replayed),
-                )
+                self.monitor.watch(name, replica.db, covered=replica.replayed)
         if self.flight is not None:
             self.flight.snapshot(
                 f"recovered:{name}", replica=name, stats=replica.recovery_stats
@@ -807,9 +798,7 @@ class SIRepCluster:
                 self._recovered.add(replica.name)
             elif self.monitor is not None:
                 self.monitor.watch(
-                    replica.name,
-                    replica.db,
-                    covered=frozenset(gid for gid, _keys in replica.replayed),
+                    replica.name, replica.db, covered=replica.replayed
                 )
         # readers restart empty (no durable log of their own): bootstrap
         # each from the leveled longest log, then admit to the monitor
@@ -841,37 +830,15 @@ class SIRepCluster:
         # order like anyone else's.  Snapshot-joined readers (row images,
         # audit_complete=False) are excluded like full-state recoveries.
         audited += [r for r in self.readers if r.alive and r.audit_complete]
-        databases = {r.name: r.node.db for r in audited}
-        schedules, locality = recorded_schedules(databases)
         # A log-replayed prefix (delta recovery, cold restart) committed
-        # before the recorded history began, so it produced no events.
-        # Synthesise writes-only transactions for it — positioned before
-        # everything else — so the checker sees the same transaction set
-        # at every replica instead of flagging the prefix as divergence.
+        # before the recorded history began, so it produced no events:
+        # the engine orders it, in replay order, before them.
+        graph = OneCopyGraph()
         for replica in audited:
-            if not replica.replayed:
-                continue
-            schedule = schedules[replica.name]
-            prefix_txns = {}
-            prefix_events = []
-            for gid, keys in replica.replayed:
-                if gid in schedule.transactions or gid in prefix_txns:
-                    continue
-                prefix_txns[gid] = TxnSpec(gid, frozenset(), keys)
-                prefix_events.append((BEGIN, gid))
-                prefix_events.append((COMMIT, gid))
-            if prefix_txns:
-                schedules[replica.name] = Schedule(
-                    transactions={**prefix_txns, **schedule.transactions},
-                    events=prefix_events + list(schedule.events),
-                )
-        # Transactions whose local replica crashed before commit do not
-        # appear anywhere; transactions recorded at survivors keep their
-        # locality mapping even if the home replica died mid-run.
-        for name, schedule in schedules.items():
-            for gid in schedule.transactions:
-                locality.setdefault(gid, self._home_of(gid))
-        report = check_one_copy_si(schedules, locality)
+            graph.replay(
+                replica.name, replica.node.db.history, covered=replica.replayed
+            )
+        report = graph.report()
         if not report.ok and self.flight is not None:
             self.flight.snapshot(
                 "audit-failed",
@@ -879,10 +846,6 @@ class SIRepCluster:
                 cycle=[str(event) for event in (report.cycle or [])],
             )
         return report
-
-    def _home_of(self, gid: str) -> str:
-        # gid format: "<replica>[.<incarnation>]:g<n>"
-        return gid.split(":", 1)[0].split(".", 1)[0]
 
     # ------------------------------------------------------------------- stats
 

@@ -1,15 +1,17 @@
 """Online 1-copy-SI monitoring: the Def. 3 audit as a streaming check.
 
 ``si/onecopy.py`` decides *after* a run whether the per-replica histories
-admit a global SI-schedule.  The :class:`OneCopyMonitor` maintains the
-same constraint graph **incrementally** while the run is going: a weak
-sim-timer daemon consumes each watched database's ``db.history`` (every
-entry now carries its sim timestamp), derives the Def. 3 edges as
-transactions commit, and flags
+admit a global SI-schedule.  The :class:`OneCopyMonitor` feeds the same
+engine, :class:`~repro.si.onecopy.OneCopyGraph`, **while the run is
+going**: a weak sim-timer daemon hands it each watched database's new
+``db.history`` entries (every entry carries its sim timestamp) and
+flags
 
-* ``one-copy-si`` — a constraint cycle, i.e. the §4.3.2 Ta/Tb anomaly,
+* ``1-copy-si`` — a constraint cycle, i.e. the §4.3.2 Ta/Tb anomaly,
   at the poll where the cycle closes (with the offending event's sim
   timestamp, not at end of run);
+* ``local-si`` — a replica committing two concurrent ww-conflicting
+  transactions (Def. 3(i): its own schedule is not an SI-schedule);
 * ``ww-order``  — two replicas committing a ww-conflicting pair in
   different orders (a hole-order violation);
 * ``rowa``      — the "same" transaction committing different writesets
@@ -27,11 +29,13 @@ already-flagged violations are never re-emitted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
-import networkx as nx
+from repro.si.onecopy import OneCopyGraph
+from repro.si.schedule import COMMIT
 
-from repro.si.schedule import BEGIN, COMMIT
+#: poll cadence in simulated seconds
+POLL_INTERVAL = 0.05
 
 
 @dataclass(frozen=True)
@@ -63,37 +67,21 @@ class MonitorViolation:
 
 
 class _Watch:
-    """Cursor + per-replica event state over one database's history."""
+    """Cursor over one database's history, plus what a rebuild replays."""
 
-    __slots__ = (
-        "name", "db", "cursor", "events", "begin_pos", "begin_t",
-        "commit_pos", "commit_t", "committed", "local", "_last_begin",
-        "covered", "grace",
-    )
+    __slots__ = ("name", "db", "cursor", "events", "covered", "grace")
 
-    def __init__(self, name: str, db, covered=frozenset(), grace=None):
+    def __init__(self, name: str, db, covered, grace):
         self.name = name
         self.db = db
         self.cursor = 0
-        #: normalized events retained for graph rebuilds after unwatch
+        #: history entries consumed so far, replayed by a rebuild
         self.events: list[tuple] = []
-        #: gids installed by durable-log replay before watching started:
-        #: committed here, ordered before everything in ``db.history``,
-        #: but absent from it (delta recovery re-watch)
-        self.covered: frozenset = frozenset(covered)
+        #: ``(gid, writeset)`` committed here before the watch began
+        self.covered: list[tuple] = covered
         #: per-watch lost-writeset grace override (read-tier staleness
         #: bound); None falls back to the monitor-wide ``loss_grace``
         self.grace: Optional[float] = grace
-        self.reset_derived()
-
-    def reset_derived(self) -> None:
-        self.begin_pos: dict[str, int] = {}
-        self.begin_t: dict[str, float] = {}
-        self.commit_pos: dict[str, int] = {}
-        self.commit_t: dict[str, float] = {}
-        self.committed: set[str] = set()
-        self.local: set[str] = set()
-        self._last_begin: dict[str, tuple[int, float, bool]] = {}
 
 
 class OneCopyMonitor:
@@ -102,16 +90,12 @@ class OneCopyMonitor:
     def __init__(
         self,
         sim,
-        interval: float = 0.05,
         loss_grace: float = 5.0,
         max_txns: int = 20_000,
         obs=None,
         on_violation: Optional[Callable[[MonitorViolation], None]] = None,
     ):
-        if interval <= 0:
-            raise ValueError(f"monitor interval must be positive: {interval}")
         self.sim = sim
-        self.interval = interval
         self.loss_grace = loss_grace
         self.max_txns = max_txns
         self.obs = obs
@@ -122,20 +106,11 @@ class OneCopyMonitor:
         self.saturated = False
         self.polls = 0
         self._watches: dict[str, _Watch] = {}
-        self._graph = nx.DiGraph()
-        #: gid -> writeset / first-commit time / first-begin time
-        self._update_ws: dict[str, frozenset] = {}
+        self._engine = OneCopyGraph()
+        #: update gid -> sim time of its first commit anywhere
         self._first_commit: dict[str, float] = {}
-        self._begin_time: dict[str, float] = {}
-        #: gid -> (readset, home watch) for committed local readers
-        self._readers: dict[str, tuple[frozenset, str]] = {}
-        #: (a, b) sorted pair -> gid committed first (agreed ww order)
-        self._ww_order: dict[tuple[str, str], str] = {}
-        self._rf_done: set[tuple[str, str]] = set()
-        #: dedup sets so a persistent condition is flagged exactly once
-        self._flagged_ww: set[tuple[str, str]] = set()
-        self._flagged_rowa: set[str] = set()
-        self._flagged_lost: set[tuple[str, str]] = set()
+        #: keys of everything flagged so far, kept across rebuilds
+        self._flagged: set[tuple] = set()
         self._process = None
 
     # -- lifecycle ---------------------------------------------------------------
@@ -160,17 +135,18 @@ class OneCopyMonitor:
     def _loop(self) -> Generator[Any, Any, None]:
         while True:
             # weak tick: monitoring must never keep the simulation alive
-            yield self.sim.sleep(self.interval, weak=True)
+            yield self.sim.sleep(POLL_INTERVAL, weak=True)
             self.poll()
 
-    def watch(self, name: str, db, covered=None, grace=None) -> None:
+    def watch(self, name: str, db, covered: Iterable[tuple] = (),
+              grace: Optional[float] = None) -> None:
         """Start consuming ``db.history`` under this replica name.
 
-        ``covered`` names transactions already committed at this replica
-        through durable-log replay (delta recovery): they precede every
-        event the history will produce but never appear in it, so the
-        ROWA and reads-from checks treat them as committed-before-watch
-        rather than missing.
+        ``covered`` lists the ``(gid, writeset)`` pairs already committed
+        at this replica through durable-log replay (delta recovery, cold
+        restart), in replay order: they precede every event the history
+        will produce but never appear in it.  A ``None`` writeset marks
+        a row-image prefix whose keys and order are unknown.
 
         ``grace`` overrides ``loss_grace`` for this watch alone: a lazy
         read replica advertising a staleness bound is held to it — an
@@ -178,9 +154,10 @@ class OneCopyMonitor:
         flagged as ``lost-writeset`` even though the monitor-wide grace
         would tolerate it.
         """
-        self._watches[name] = _Watch(
-            name, db, covered=covered or frozenset(), grace=grace
-        )
+        self.unwatch(name)
+        watch = _Watch(name, db, list(covered), grace)
+        self._watches[name] = watch
+        self._cover(watch)
 
     def unwatch(self, name: str) -> None:
         """Stop auditing a replica (crashed / recovered) and rebuild the
@@ -188,7 +165,12 @@ class OneCopyMonitor:
         violations stay flagged and are not re-emitted."""
         if self._watches.pop(name, None) is None:
             return
-        self._rebuild()
+        self._engine = OneCopyGraph()
+        self._first_commit = {}
+        for watch in self._watches.values():
+            self._cover(watch)
+            for entry in watch.events:
+                self._feed(watch, entry)
 
     @property
     def ok(self) -> bool:
@@ -202,11 +184,16 @@ class OneCopyMonitor:
             return []
         before = len(self.violations)
         self.polls += 1
-        new_commits: list[tuple[_Watch, str]] = []
+        edges = self._engine.edges
         for watch in self._watches.values():
-            new_commits.extend(self._ingest(watch))
-        if new_commits:
-            self._derive(new_commits)
+            history = watch.db.history
+            while watch.cursor < len(history):
+                entry = history[watch.cursor]
+                watch.cursor += 1
+                watch.events.append(entry)
+                self._feed(watch, entry)
+        if self._engine.edges != edges and not self.tripped:
+            self._check_cycle()
         self._check_lost()
         if len(self._first_commit) > self.max_txns:
             # bounded memory on very long runs: stop checking rather
@@ -214,205 +201,36 @@ class OneCopyMonitor:
             self.saturated = True
         return self.violations[before:]
 
-    def _ingest(self, watch: _Watch) -> list[tuple[_Watch, str]]:
-        """Advance one watch's cursor; returns its newly committed gids."""
-        history = watch.db.history
-        commits = []
-        while watch.cursor < len(history):
-            entry = history[watch.cursor]
-            watch.cursor += 1
-            watch.events.append(entry)
-            commits.extend(self._apply_event(watch, entry))
-        return commits
+    def _cover(self, watch: _Watch) -> None:
+        self._engine.add_replica(watch.name)
+        for gid, writeset in watch.covered:
+            for found in self._engine.cover(watch.name, gid, writeset):
+                self._flag(found.rule, found.detail, self.sim.now, found.gids)
 
-    def _apply_event(self, watch: _Watch, entry: tuple) -> list[tuple[_Watch, str]]:
-        position = len(watch.events)  # strictly increasing per watch
-        if entry[0] == "begin":
-            _kind, gid, _csn, remote, t = entry
-            # a retried remote apply begins several times; the begin that
-            # counts is the last one before the commit
-            watch._last_begin[gid] = (position, t, remote)
-            return []
-        _kind, gid, _csn, readset, writeset, t = entry
-        began = watch._last_begin.get(gid)
-        if began is not None:
-            begin_pos, begin_t, remote = began
-            watch.begin_pos[gid] = begin_pos
-            watch.begin_t[gid] = begin_t
-            if not remote:
-                watch.local.add(gid)
-                self._begin_time.setdefault(gid, begin_t)
-        watch.commit_pos[gid] = position
-        watch.commit_t[gid] = t
-        watch.committed.add(gid)
-        return [(watch, gid)]
-
-    def _derive(self, new_commits: list[tuple[_Watch, str]]) -> None:
-        """Turn this poll's commits into Def. 3 constraint edges.
-
-        Ingestion completes for *every* watch before any edge is derived,
-        so position comparisons are made against a consistent prefix and
-        each (writer, reader) / ww pair is decided exactly once.
-        """
-        added_edges = False
-        new_writers: list[str] = []
-        new_readers: list[str] = []
-        for watch, gid in new_commits:
-            entry_ws = self._writeset_of(watch, gid)
-            if entry_ws:
-                known = self._update_ws.get(gid)
-                if known is None:
-                    self._update_ws[gid] = entry_ws
-                    new_writers.append(gid)
-                elif known != entry_ws and gid not in self._flagged_rowa:
-                    self._flagged_rowa.add(gid)
-                    self._flag(
-                        "rowa",
-                        f"txn {gid} committed different writesets across "
-                        f"replicas (seen at {watch.name})",
-                        offending_t=watch.commit_t[gid],
-                        gids=(gid,),
-                    )
-                self._first_commit.setdefault(gid, watch.commit_t[gid])
-            if gid not in self._graph:
-                self._graph.add_edge((BEGIN, gid), (COMMIT, gid), reason="b<c")
-                added_edges = True
-            readset = self._readset_of(watch, gid)
-            if gid in watch.local and readset and gid not in self._readers:
-                self._readers[gid] = (readset, watch.name)
-                new_readers.append(gid)
-        added_edges |= self._derive_ww(new_commits)
-        added_edges |= self._derive_rf(new_writers, new_readers)
-        if added_edges and not self.tripped:
-            self._check_cycle()
-
-    @staticmethod
-    def _writeset_of(watch: _Watch, gid: str) -> frozenset:
-        for entry in reversed(watch.events):
-            if entry[0] == "commit" and entry[1] == gid:
-                return frozenset(entry[4])
-        return frozenset()
-
-    @staticmethod
-    def _readset_of(watch: _Watch, gid: str) -> frozenset:
-        for entry in reversed(watch.events):
-            if entry[0] == "commit" and entry[1] == gid:
-                return frozenset(entry[3])
-        return frozenset()
-
-    def _derive_ww(self, new_commits: list[tuple[_Watch, str]]) -> bool:
-        """Def. 3(ii.a): ww-conflicting commit orders must agree."""
-        added = False
-        for watch, gid in new_commits:
-            ws = self._update_ws.get(gid)
-            if not ws:
-                continue
-            for other, other_ws in self._update_ws.items():
-                if other == gid or not (ws & other_ws):
-                    continue
-                if other not in watch.committed:
-                    continue
-                first = (
-                    gid
-                    if watch.commit_pos[gid] < watch.commit_pos[other]
-                    else other
-                )
-                pair = (gid, other) if gid < other else (other, gid)
-                agreed = self._ww_order.get(pair)
-                if agreed is None:
-                    self._ww_order[pair] = first
-                    second = other if first == gid else gid
-                    self._graph.add_edge(
-                        (COMMIT, first), (COMMIT, second), reason="ww"
-                    )
-                    self._graph.add_edge(
-                        (COMMIT, first), (BEGIN, second), reason="ww-noconc"
-                    )
-                    added = True
-                elif agreed != first and pair not in self._flagged_ww:
-                    self._flagged_ww.add(pair)
-                    self._flag(
-                        "ww-order",
-                        f"replicas disagree on the commit order of the "
-                        f"ww-conflicting pair {pair[0]},{pair[1]} "
-                        f"({watch.name} commits {first} first)",
-                        offending_t=watch.commit_t[gid],
-                        gids=pair,
-                    )
-        return added
-
-    def _derive_rf(self, new_writers: list[str], new_readers: list[str]) -> bool:
-        """Def. 3(ii.b): each local reader's reads-from relation.
-
-        A (writer, reader) pair is decided exactly once, from the
-        reader's home schedule: if the writer's commit is not (yet)
-        recorded there, every future commit lands at a later position
-        than the reader's already-recorded begin, so the begin comes
-        first either way.
-        """
-        added = False
-        pairs: list[tuple[str, str]] = []
-        for reader in new_readers:
-            readset, _home = self._readers[reader]
-            for writer, ws in self._update_ws.items():
-                if writer != reader and (ws & readset):
-                    pairs.append((writer, reader))
-        for writer in new_writers:
-            ws = self._update_ws[writer]
-            for reader, (readset, _home) in self._readers.items():
-                if writer != reader and (ws & readset):
-                    pairs.append((writer, reader))
-        for writer, reader in pairs:
-            if (writer, reader) in self._rf_done:
-                continue
-            self._rf_done.add((writer, reader))
-            home = self._watches.get(self._readers[reader][1])
-            if home is None:
-                continue
-            writer_commit = home.commit_pos.get(writer)
-            reader_begin = home.begin_pos.get(reader)
-            if reader_begin is None:
-                continue
-            if writer_commit is not None and writer_commit < reader_begin:
-                self._graph.add_edge(
-                    (COMMIT, writer), (BEGIN, reader), reason="rf"
-                )
-            elif writer_commit is None and writer in home.covered:
-                # the writer landed during the home replica's log replay:
-                # it committed before the watch (and thus the begin) even
-                # though the history never shows it
-                self._graph.add_edge(
-                    (COMMIT, writer), (BEGIN, reader), reason="rf"
-                )
-            else:
-                self._graph.add_edge(
-                    (BEGIN, reader), (COMMIT, writer), reason="not-rf"
-                )
-            added = True
-        return added
+    def _feed(self, watch: _Watch, entry: tuple) -> None:
+        if entry[0] == "commit" and entry[4]:
+            self._first_commit.setdefault(entry[1], entry[5])
+        for found in self._engine.feed(watch.name, entry):
+            self._flag(found.rule, found.detail, entry[-1], found.gids)
 
     def _check_cycle(self) -> None:
-        try:
-            cycle = nx.find_cycle(self._graph)
-        except nx.NetworkXNoCycle:
+        nodes = self._engine.cycle()
+        if nodes is None:
             return
         self.tripped = True
-        nodes = [edge[0] for edge in cycle]
-        times = [self._event_time(node) for node in nodes]
+        engine = self._engine
+        times = [
+            (engine.commit_t if kind == COMMIT else engine.begin_t).get(gid)
+            for kind, gid in nodes
+        ]
         offending = max((t for t in times if t is not None), default=self.sim.now)
         chain = " -> ".join(f"{kind}{gid}" for kind, gid in nodes)
         self._flag(
-            "one-copy-si",
+            "1-copy-si",
             f"constraint cycle {chain}; latest event at t={offending:.6f}",
             offending_t=offending,
             gids=tuple(dict.fromkeys(gid for _kind, gid in nodes)),
         )
-
-    def _event_time(self, node: tuple) -> Optional[float]:
-        kind, gid = node
-        if kind == COMMIT:
-            return self._first_commit.get(gid)
-        return self._begin_time.get(gid)
 
     def _check_lost(self) -> None:
         """An update committed somewhere must reach every watched replica
@@ -430,25 +248,28 @@ class OneCopyMonitor:
                 grace = watch.grace if watch.grace is not None else self.loss_grace
                 if now - first_t <= grace:
                     continue
-                if gid in watch.committed or gid in watch.covered:
+                if self._engine.committed_at(watch.name, gid):
                     continue
-                key = (gid, watch.name)
-                if key in self._flagged_lost:
-                    continue
-                self._flagged_lost.add(key)
                 self._flag(
                     "lost-writeset",
                     f"update {gid} committed at t={first_t:.6f} but still "
                     f"missing at {watch.name} after {grace:.1f}s",
                     offending_t=first_t,
                     gids=(gid,),
+                    key=("lost-writeset", gid, watch.name),
                 )
 
     # -- plumbing ----------------------------------------------------------------
 
     def _flag(
-        self, kind: str, detail: str, offending_t: float, gids: tuple[str, ...]
+        self, kind: str, detail: str, offending_t: float,
+        gids: tuple[str, ...], key: Optional[tuple] = None,
     ) -> None:
+        """Flag once per ``key`` (default: kind and gids), across rebuilds."""
+        key = key or (kind, gids)
+        if key in self._flagged:
+            return
+        self._flagged.add(key)
         violation = MonitorViolation(
             kind=kind,
             detail=detail,
@@ -468,30 +289,6 @@ class OneCopyMonitor:
             )
         if self.on_violation is not None:
             self.on_violation(violation)
-
-    def _rebuild(self) -> None:
-        """Recompute the constraint state from the remaining watches.
-
-        Flagged-violation dedup sets and the cycle latch survive, so a
-        rebuild never re-emits what was already reported.
-        """
-        self._graph = nx.DiGraph()
-        self._update_ws = {}
-        self._first_commit = {}
-        self._begin_time = {}
-        self._readers = {}
-        self._ww_order = {}
-        self._rf_done = set()
-        commits: list[tuple[_Watch, str]] = []
-        for watch in self._watches.values():
-            events = watch.events
-            watch.events = []
-            watch.reset_derived()
-            for entry in events:
-                watch.events.append(entry)
-                commits.extend(self._apply_event(watch, entry))
-        if commits and not self.tripped:
-            self._derive(commits)
 
     def summary(self) -> dict:
         return {

@@ -84,15 +84,13 @@ class ReadReplica:
         self.last_apply_t = sim.now
         #: replicated DDL applied (bootstrap + feed), join-donor ordering
         self.ddl_log: list[str] = []
-        #: (gid, writeset keys) installed at bootstrap — the Def. 3 audit
-        #: synthesizes this reader's history prefix from these
-        self.replayed: list[tuple[str, frozenset]] = []
+        #: (gid, writeset keys) installed at bootstrap, the prefix the
+        #: Def. 3 engine orders before this reader's history; keys are
+        #: None after a snapshot join (row images, order unknown)
+        self.replayed: list[tuple[str, Optional[frozenset]]] = []
         #: False when bootstrap installed row images instead of
         #: replayable transactions (snapshot join without a durable log)
         self.audit_complete = True
-        #: gids committed at bootstrap, for the online monitor's
-        #: ``covered`` set when this reader joins mid-run
-        self.covered_gids: set[str] = set()
         self.apply_gate = Gate(name=f"{name}.apply")
         self.active_sessions = 0
         self.applied = 0
@@ -164,7 +162,6 @@ class ReadReplica:
             if record.kind == durable_log.WS:
                 self.db.install_writeset(record.gid, record.ops)
                 self.replayed.append((record.gid, record.keys))
-                self.covered_gids.add(record.gid)
                 self.watermark = record.tid
             elif record.kind == durable_log.DDL:
                 self.db.run_ddl(record.sql)
@@ -180,7 +177,7 @@ class ReadReplica:
 
         Row images are not replayable transactions, so this incarnation
         stays out of the offline audit (``audit_complete=False``); the
-        online monitor covers the pre-join prefix via ``covered_gids``.
+        online monitor covers the pre-join prefix via ``replayed``.
         """
         for sql in ddl:
             self.db.run_ddl(sql)
@@ -189,10 +186,10 @@ class ReadReplica:
             {table: [dict(r) for r in trows] for table, trows in rows.items()},
             csn,
         )
+        self.replayed = [(gid, None) for gid in committed_gids]
         for record in pending:
             self.db.install_writeset(record.gid, record.writeset)
-            self.covered_gids.add(record.gid)
-        self.covered_gids.update(committed_gids)
+            self.replayed.append((record.gid, None))
         self.watermark = cert_tid
         self.audit_complete = False
         self.last_apply_t = self.sim.now

@@ -67,7 +67,6 @@ class ShardConfig:
     #: per-group online 1-copy-SI monitors (certification order is
     #: per-group, so each group gets its own streaming Def. 3 check)
     monitor: bool = False
-    monitor_interval: float = 0.05
     #: one shared crash flight recorder across the groups
     flight: bool = False
     flight_dir: Optional[str] = None
@@ -191,7 +190,6 @@ class ShardedCluster:
                 with_disk=cfg.with_disk,
                 cpu_servers=cfg.cpu_servers,
                 monitor=cfg.monitor,
-                monitor_interval=cfg.monitor_interval,
                 max_sessions=cfg.max_sessions,
                 replica_prefix=f"G{index}-R",
                 read_replicas=cfg.read_replicas_per_group,

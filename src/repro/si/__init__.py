@@ -8,14 +8,13 @@
 * :mod:`repro.si.onecopy` — Definition 3 (1-copy-SI): given the local
   schedule of every replica, decide whether a global SI-schedule exists
   that all of them are equivalent to, and produce it (or a counterexample
-  cycle).
-* :mod:`repro.si.recorder` — builds those schedules from live
-  :class:`~repro.storage.engine.Database` histories.
+  cycle).  Its :class:`OneCopyGraph` also ingests live
+  :class:`~repro.storage.engine.Database` histories, for the offline
+  audit and the online monitor alike.
 """
 
 from repro.si.equivalence import equivalent
-from repro.si.onecopy import OneCopyReport, check_one_copy_si
-from repro.si.recorder import recorded_schedules
+from repro.si.onecopy import OneCopyGraph, OneCopyReport, check_one_copy_si
 from repro.si.schedule import Schedule, TxnSpec, Violation
 
 __all__ = [
@@ -25,5 +24,5 @@ __all__ = [
     "equivalent",
     "check_one_copy_si",
     "OneCopyReport",
-    "recorded_schedules",
+    "OneCopyGraph",
 ]

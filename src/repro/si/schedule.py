@@ -43,6 +43,8 @@ class Violation:
 
     rule: str
     detail: str
+    #: the transactions involved, when the finder names them
+    gids: tuple[str, ...] = ()
 
     def __str__(self) -> str:
         return f"[{self.rule}] {self.detail}"
@@ -76,8 +78,9 @@ class Schedule:
 
     # -- Definition 1 ---------------------------------------------------------
 
-    def violations(self) -> list[Violation]:
-        """All Def. 1 violations (empty list == valid SI-schedule)."""
+    def structure_violations(self) -> list[Violation]:
+        """Def. 1(i) and well-formedness: every transaction begins and
+        commits exactly once, in that order, and no event is unknown."""
         problems: list[Violation] = []
         seen: dict[tuple[str, str], int] = {}
         for index, event in enumerate(self.events):
@@ -101,8 +104,14 @@ class Schedule:
                 problems.append(
                     Violation("order", f"txn {tid} commits before it begins")
                 )
+        return problems
+
+    def violations(self) -> list[Violation]:
+        """All Def. 1 violations (empty list == valid SI-schedule)."""
+        problems = self.structure_violations()
         if problems:
             return problems
+        seen = {event: index for index, event in enumerate(self.events)}
         # (ii): concurrent ww-conflicting transactions must not both commit.
         tids = list(self.transactions)
         for i, ti in enumerate(tids):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.replica import ReplicaNode
 from repro.core.srca import ABORTED, BASIC, COMMITTED, FULL, OPT, SRCA
-from repro.si import check_one_copy_si, recorded_schedules
+from repro.si import OneCopyGraph
 from repro.sim import Resource, Simulator
 from repro.storage import Database
 from repro.storage.engine import CostModel, DEFERRED, LOCKING
@@ -51,14 +51,13 @@ def build(sim, n, mode, apply_cost=0.0):
 
 
 def one_copy_report(srca):
+    graph = OneCopyGraph()
     for node in srca.nodes:
-        node.db.history = [
-            e for e in node.db.history if not str(e[1]).startswith("setup-")
-        ]
-    schedules, locality = recorded_schedules(
-        {node.name: node.db for node in srca.nodes}
-    )
-    return check_one_copy_si(schedules, locality)
+        graph.replay(
+            node.name,
+            [e for e in node.db.history if not str(e[1]).startswith("setup-")],
+        )
+    return graph.report()
 
 
 def txn_once(sim, srca, statements, replica=None):

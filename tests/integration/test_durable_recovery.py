@@ -358,6 +358,11 @@ def test_cold_restart_from_disk(tmp_path):
     states = all_states(cluster)
     assert set(states.values()) == {expected}
     assert cluster.one_copy_report().ok
+    # every replica is re-watched, its replayed log covering the prefix
+    assert cluster.monitor.poll() == []
+    summary = cluster.monitor.summary()
+    assert sorted(summary["watched"]) == ["R0", "R1", "R2"]
+    assert not summary["tripped"]
 
 
 def test_cold_restart_levels_a_replica_with_a_shorter_log():

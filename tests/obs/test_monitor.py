@@ -111,6 +111,36 @@ def test_lost_writeset_after_grace_window(env):
     assert monitor.poll() == []  # deduped per (gid, replica)
 
 
+@pytest.mark.parametrize("r0_order, kinds", [
+    ("b1 b2 c1 c2", ["local-si"]),  # a lost update at R0
+    ("b1 c1 b2 c2", []),
+])
+def test_def3_i_each_local_schedule_is_si(env, r0_order, kinds):
+    """Def. 3(i): two local blind writes of one key, applied serially at
+    R1.  All replicas agree on the commit order, yet R0 committing them
+    concurrently is a violation of its own."""
+    sim, monitor, dbs = env
+    ws = {("kv", 1)}
+    events = {
+        "b1": begin("g1", remote=False, t=0.1),
+        "b2": begin("g2", remote=False, t=0.2),
+        "c1": commit("g1", 0.3, writeset=ws),
+        "c2": commit("g2", 0.4, writeset=ws),
+    }
+    dbs["R0"].history += [events[token] for token in r0_order.split()]
+    dbs["R1"].history += [
+        begin("g1", remote=True, t=0.5), commit("g1", 0.6, writeset=ws),
+        begin("g2", remote=True, t=0.7), commit("g2", 0.8, writeset=ws),
+    ]
+    sim.now = 1.0
+    new = monitor.poll()
+    assert [v.kind for v in new] == kinds
+    if kinds:
+        assert new[0].gids == ("g1", "g2")
+        assert new[0].offending_t == 0.4
+        assert "replica R0" in new[0].detail
+
+
 def test_constraint_cycle_trips_one_copy_si(env):
     """The §4.3.2 shape, hand-fed: each replica commits its own writer
     first, and each local reader begins in the window where only the
@@ -130,7 +160,7 @@ def test_constraint_cycle_trips_one_copy_si(env):
     ]
     sim.now = 0.7
     new = monitor.poll()
-    assert [v.kind for v in new] == ["one-copy-si"]
+    assert [v.kind for v in new] == ["1-copy-si"]
     assert monitor.tripped
     violation = new[0]
     assert set(violation.gids) >= {"g1", "g2"}
@@ -188,11 +218,6 @@ def test_saturation_stops_checking(env):
     assert monitor.summary()["saturated"] is True
 
 
-def test_interval_must_be_positive():
-    with pytest.raises(ValueError):
-        OneCopyMonitor(FakeSim(), interval=0.0)
-
-
 # ---------------------------------------------------------------------------
 # Integration: the batched §4.3.2 anomaly, caught online
 # ---------------------------------------------------------------------------
@@ -223,7 +248,6 @@ def run_batched_scenario(hole_sync):
             gcs=GcsConfig(batch_max_messages=2, batch_window=0.2),
             cost_model=lambda i: SlowApply(),
             monitor=True,
-            monitor_interval=0.05,
             flight=True,
         )
     )
@@ -256,7 +280,7 @@ def run_batched_scenario(hole_sync):
 def test_monitor_flags_batched_anomaly_online():
     cluster = run_batched_scenario(hole_sync=False)
     assert cluster.monitor.tripped
-    flagged = [v for v in cluster.monitor.violations if v.kind == "one-copy-si"]
+    flagged = [v for v in cluster.monitor.violations if v.kind == "1-copy-si"]
     assert len(flagged) == 1
     violation = flagged[0]
     # the readers begin at t=0.25; the cycle's latest event is one of
@@ -268,7 +292,7 @@ def test_monitor_flags_batched_anomaly_online():
     assert not cluster.one_copy_report().ok
     # the flight recorder snapped the violation as it happened
     reasons = [snap["reason"] for snap in cluster.flight.snapshots]
-    assert "monitor:one-copy-si" in reasons
+    assert "monitor:1-copy-si" in reasons
     cluster.stop()
 
 

@@ -69,7 +69,7 @@ def test_snapshot_join_serves_but_skips_offline_audit():
     run_updates(cluster, n=6)
     reader = cluster.add_reader()
     assert not reader.audit_complete  # row images are not replayable
-    assert len(reader.covered_gids) == 6
+    assert len(reader.replayed) == 6
     run_updates(cluster, n=6, offset=6)
     rows = query(cluster.sim, reader.db, "SELECT k, v FROM kv ORDER BY k")
     expected = query(
