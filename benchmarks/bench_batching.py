@@ -14,23 +14,20 @@ that cap.  Sweep batch_max_messages; everything else fixed.
 
 The sweep runs with the repro.obs surface attached (metrics registry,
 gauge sampler): each measured point carries queue-depth and hole-age
-time-series in ``extras["metrics"]["obs"]["series"]``, also written
-standalone to ``results/batching_series.json`` (the CI artifact).  A
-profiled run at batch 8 carries the commit-latency phase breakdown in
-``extras["profile"]``.  Monitoring only *reads* simulator state, so the
-measured throughput is identical with and without it — asserted below
-against a metrics-off control run at batch 8.
+time-series in ``extras["metrics"]["obs"]["series"]``, checked below
+to export as strict JSON.  A profiled run at batch 8 carries the
+commit-latency phase breakdown in ``extras["profile"]``.  Monitoring
+only *reads* simulator state, so the measured throughput is identical
+with and without it — asserted below against a metrics-off control run
+at batch 8.
 """
 
 import json
-import pathlib
 
 from repro.bench.costs import BatchMicroCost
 from repro.bench.harness import run_sirep
 from repro.gcs import GcsConfig
 from repro.workloads.micro import make_mixed_workload
-
-RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 BATCH_SIZES = (1, 2, 4, 8, 16)
 N_REPLICAS = 5
@@ -49,20 +46,13 @@ def _update_tps(point) -> float:
     return point.throughput * commits.get("update", 0) / total
 
 
-def _slim(extras: dict) -> dict:
-    """Per-point extras for batching.json, without the sampled series
-    (that goes standalone to batching_series.json — no duplication)."""
-    extras = dict(extras)
-    metrics = dict(extras.get("metrics", {}))
-    if "obs" in metrics:
-        obs = dict(metrics["obs"])
-        obs.pop("series", None)
-        metrics["obs"] = obs
-    extras["metrics"] = metrics
-    return extras
-
-
-def _run_point(batch: int, obs: bool, profile: bool = False):
+def _run_point(
+    batch: int,
+    obs: bool,
+    profile: bool = False,
+    duration: float = 6.0,
+    warmup: float = 1.5,
+):
     workload = make_mixed_workload(read_weight=READ_WEIGHT)
     return run_sirep(
         workload,
@@ -76,8 +66,8 @@ def _run_point(batch: int, obs: bool, profile: bool = False):
             bus_service_time=BUS_SERVICE_TIME,
         ),
         group_commit=True,
-        duration=6.0,
-        warmup=1.5,
+        duration=duration,
+        warmup=warmup,
         seed=0,
         label=f"batch={batch}",
         obs=obs,
@@ -113,46 +103,6 @@ def test_batching_throughput(benchmark):
             f"mean commit group {p.extras['group_commit_mean_size']:.2f}"
         )
 
-    RESULTS.mkdir(exist_ok=True)
-    (RESULTS / "batching.json").write_text(
-        json.dumps(
-            {
-                "offered_tps": OFFERED_TPS,
-                "read_weight": READ_WEIGHT,
-                "n_replicas": N_REPLICAS,
-                "bus_service_time": BUS_SERVICE_TIME,
-                "batch_window": BATCH_WINDOW,
-                "sampler_interval": SAMPLER_INTERVAL,
-                "points": {
-                    str(b): {
-                        "update_tps": _update_tps(points[b]),
-                        "speedup": ratios[b],
-                        "throughput": points[b].throughput,
-                        "update_rt_ms": points[b].rt("update"),
-                        "read_rt_ms": points[b].rt("read-only"),
-                        "abort_rate": points[b].abort_rate,
-                        "extras": _slim(points[b].extras),
-                    }
-                    for b in BATCH_SIZES
-                },
-            },
-            indent=2,
-            allow_nan=False,  # sanitized upstream; NaN here is a bug
-        )
-    )
-    # standalone time-series export: gauge curves per batch size (the CI
-    # artifact a dashboard can plot without parsing the whole result)
-    (RESULTS / "batching_series.json").write_text(
-        json.dumps(
-            {
-                str(b): points[b].extras["metrics"]["obs"]["series"]
-                for b in BATCH_SIZES
-            },
-            indent=2,
-            allow_nan=False,
-        )
-    )
-
     # batching lifts the sequencer/log-force ceilings: >=1.5x at batch 8
     assert ratios[8] >= 1.5
     # reads never queue on the bus or the log: p50 stays flat
@@ -168,6 +118,9 @@ def test_batching_throughput(benchmark):
     assert len(series) >= 10
     assert "R0.tocommit_depth" in series[0]
     assert "R0.oldest_hole_age" in series[0]
+    # every point's extras, series included, export as strict JSON:
+    # metrics are sanitized upstream, so a literal NaN here is a bug
+    json.dumps({b: points[b].extras for b in BATCH_SIZES}, allow_nan=False)
     # the profiled point carries the commit-latency phase breakdown
     updates = traced.extras["profile"]["updates"]
     assert updates["n"] > 0 and "p95_ms" in updates["phases"]["commit"]
@@ -192,15 +145,15 @@ def test_batching_throughput(benchmark):
 
 # --------------------------------------------------------------- contention
 #
-# The contention lane: the same 800-tps update-heavy point, before and
-# after the contention engine (abort salvage + blind-write deferral +
-# commit pipelining).  Both sides run on 2-core replicas: at one core
-# the 800-tps point is compute-saturated the moment salvage stops
-# shedding 29% of the offered work as aborts, so a 1-core comparison
-# measures the CPU queue, not the conflict machinery this lane exists
-# to measure.  Everything else — offered load, mix, costs, batch knobs,
-# seed — matches the batching.json 800-tps point, whose abort rate and
-# update p95 are carried into contention.json as the anchor.
+# The contention comparison: the same 800-tps update-heavy point,
+# before and after the contention engine (abort salvage + blind-write
+# deferral + commit pipelining).  Both sides run on 2-core replicas: at
+# one core the 800-tps point is compute-saturated the moment salvage
+# stops shedding 29% of the offered work as aborts, so a 1-core
+# comparison measures the CPU queue, not the conflict machinery under
+# test.  Everything else — offered load, mix, costs, batch knobs, seed
+# — matches the batching sweep's batch-8 point, run alongside as the
+# anchor whose 1-core update p95 the after side must not exceed.
 
 CONTENTION_CPU_SERVERS = 2
 
@@ -249,63 +202,23 @@ def _contention_summary(point) -> dict:
 
 
 def run_contention(duration: float = 6.0, warmup: float = 1.5) -> dict:
-    """Before/after contention comparison -> results/contention.json."""
-    before = _contention_summary(_run_contention_point(False, duration, warmup))
-    after = _contention_summary(_run_contention_point(True, duration, warmup))
-
-    anchor = None
-    batching = RESULTS / "batching.json"
-    if batching.exists():
-        b8 = json.loads(batching.read_text())["points"].get("8")
-        if b8 is not None:
-            anchor = {
-                "source": "results/batching.json point 8 (1-core replicas)",
-                "abort_rate": b8["abort_rate"],
-                "update_p95_ms": b8["extras"]["p95_ms"].get("update"),
-                "certification_aborts": b8["extras"]["metrics"].get(
-                    "certification_aborts"
-                ),
-            }
-
-    report = {
-        "offered_tps": OFFERED_TPS,
-        "read_weight": READ_WEIGHT,
-        "n_replicas": N_REPLICAS,
-        "cpu_servers": CONTENTION_CPU_SERVERS,
-        "bus_service_time": BUS_SERVICE_TIME,
-        "batch_max_messages": 8,
-        "batch_window": BATCH_WINDOW,
-        "duration": duration,
-        "warmup": warmup,
-        "seed": 0,
-        "baseline_anchor": anchor,
-        "before": before,
-        "after": after,
-        # factors are null when the after side reached zero (the cut is
-        # then unbounded; null keeps the file strict JSON)
-        "reduction": {
-            "abort_rate_factor": (
-                before["abort_rate"] / after["abort_rate"]
-                if after["abort_rate"]
-                else None
-            ),
-            "certification_abort_factor": (
-                before["certification_aborts"]
-                / after["certification_aborts"]
-                if after["certification_aborts"]
-                else None
-            ),
-        },
+    """Before/after contention comparison, anchored on the 1-core
+    batch-8 point of the batching sweep at the same load and seed."""
+    return {
+        "before": _contention_summary(
+            _run_contention_point(False, duration, warmup)
+        ),
+        "after": _contention_summary(
+            _run_contention_point(True, duration, warmup)
+        ),
+        "anchor": _contention_summary(
+            _run_point(8, obs=False, duration=duration, warmup=warmup)
+        ),
     }
-    RESULTS.mkdir(exist_ok=True)
-    (RESULTS / "contention.json").write_text(
-        json.dumps(report, indent=2, allow_nan=False)
-    )
-    return report
 
 
-def test_contention_salvage():
-    report = run_contention()
+def test_contention_salvage(benchmark):
+    report = benchmark.pedantic(run_contention, rounds=1, iterations=1)
     before, after = report["before"], report["after"]
     print(
         "contention before: abort=%.4f cert_aborts=%s p95=%.1f tps=%.1f"
@@ -335,9 +248,7 @@ def test_contention_salvage():
     # ... without giving the latency back (2% tolerance for the tail of
     # re-homed commits; the anchor's 1-core p95 bounds it loosely too)
     assert after["update_p95_ms"] <= before["update_p95_ms"] * 1.02
-    anchor = report["baseline_anchor"]
-    if anchor is not None and anchor["update_p95_ms"] is not None:
-        assert after["update_p95_ms"] <= anchor["update_p95_ms"]
+    assert after["update_p95_ms"] <= report["anchor"]["update_p95_ms"]
     # the machinery actually engaged
     assert after["salvaged_total"] > 0
     assert after["deferred_ww_total"] > 0
@@ -356,26 +267,8 @@ CANONICAL_BATCH = 8
 def canonical_point(quick: bool = True) -> dict:
     """Batching anchor: the batch=8 point with phase attribution."""
     duration, warmup = (3.0, 0.75) if quick else (6.0, 1.5)
-    workload = make_mixed_workload(read_weight=READ_WEIGHT)
-    point = run_sirep(
-        workload,
-        OFFERED_TPS,
-        n_replicas=N_REPLICAS,
-        cost_model=BatchMicroCost,
-        with_disk=True,
-        gcs=GcsConfig(
-            batch_max_messages=CANONICAL_BATCH,
-            batch_window=BATCH_WINDOW,
-            bus_service_time=BUS_SERVICE_TIME,
-        ),
-        group_commit=True,
-        duration=duration,
-        warmup=warmup,
-        seed=0,
-        label=f"batch={CANONICAL_BATCH}",
-        obs=True,
-        sampler_interval=SAMPLER_INTERVAL,
-        profile=True,
+    point = _run_point(
+        CANONICAL_BATCH, obs=True, profile=True, duration=duration, warmup=warmup
     )
     return {
         "config": {
@@ -418,13 +311,3 @@ def canonical_contention_point(quick: bool = True) -> dict:
         "metrics": metrics,
         "profile": point.extras["profile"],
     }
-
-
-if __name__ == "__main__":
-    import sys
-
-    quick = "--quick" in sys.argv
-    report = run_contention(
-        duration=3.0 if quick else 6.0, warmup=1.0 if quick else 1.5
-    )
-    print(json.dumps(report, indent=2))

@@ -5,8 +5,6 @@ writeset handling, parsing, point statements) rather than simulated time.
 """
 
 import itertools
-import json
-import pathlib
 import random
 import time
 
@@ -45,9 +43,6 @@ def test_certifier_validation_throughput(benchmark):
     assert result > 0
 
 
-RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-
 def _queue_entry(rng, gid):
     record = WsRecord(gid, _ws(rng.sample(range(4096), 4)), cert=0)
     record.tid = 0
@@ -81,12 +76,11 @@ def _dispatch_cost_us(queue_factory, depth, iters=2000, repeats=5):
 def test_queue_dispatch_cost_flat_in_depth(benchmark):
     """The key-indexed to-commit queue's per-transaction dispatch cost
     must be ~flat in queue depth (the linear-scan form it replaced grows
-    with every resident entry).  Exports results/conflict_index.json."""
+    with every resident entry)."""
     depths = [1, 32, 256]
     indexed = {d: _dispatch_cost_us(ToCommitQueue, d) for d in depths}
     reference = {d: _dispatch_cost_us(ReferenceToCommitQueue, d) for d in depths}
 
-    RESULTS.mkdir(exist_ok=True)
     report = {
         "unit": "microseconds per dispatch cycle",
         "cycle": "append + blocking_predecessor + overlaps + remove",
@@ -95,7 +89,6 @@ def test_queue_dispatch_cost_flat_in_depth(benchmark):
         "indexed_flatness_256_over_1": round(indexed[256] / indexed[1], 3),
         "reference_growth_256_over_1": round(reference[256] / reference[1], 3),
     }
-    (RESULTS / "conflict_index.json").write_text(json.dumps(report, indent=2))
     benchmark.extra_info.update(report)
 
     rng = random.Random(99)
@@ -116,6 +109,7 @@ def test_queue_dispatch_cost_flat_in_depth(benchmark):
     # near-flat: depth 256 costs at most 3x depth 1 (timer noise margin);
     # the reference scan is far past that by 256
     assert indexed[256] <= 3 * indexed[1], report
+    assert reference[256] > 3 * reference[1], report
     assert reference[256] > indexed[256], report
 
 

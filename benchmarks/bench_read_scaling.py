@@ -22,9 +22,6 @@ minus the writeset-apply tax), while offloading reads keeps update p95
 no worse than the share-everything baseline.
 """
 
-import json
-import pathlib
-
 from repro.bench.costs import MicroCost
 from repro.bench.harness import per_replica_cost
 from repro.client import RoutedDriver
@@ -33,8 +30,6 @@ from repro.obs import profile_run
 from repro.reader import ReaderConfig
 from repro.workloads import ClientPool
 from repro.workloads.micro import make_mixed_workload, make_workload
-
-RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 READER_COUNTS = (0, 2, 4)
 N_REPLICAS = 3
@@ -113,22 +108,6 @@ def test_read_scaling(benchmark):
             f"readers={n}: {p['read_tps']:.1f} read tps (x{ratios[n]:.2f}), "
             f"update p95 {p['update_p95_ms']:.1f} ms"
         )
-
-    RESULTS.mkdir(exist_ok=True)
-    (RESULTS / "read_scaling.json").write_text(
-        json.dumps(
-            {
-                "offered_update_tps": UPDATE_TPS,
-                "offered_read_tps": READ_TPS,
-                "n_replicas": N_REPLICAS,
-                "points": {
-                    str(n): dict(points[n], speedup=ratios[n])
-                    for n in READER_COUNTS
-                },
-            },
-            indent=2,
-        )
-    )
 
     # reads scale near-linearly with lazy replicas...
     assert ratios[2] >= 1.7

@@ -12,13 +12,13 @@ them, so:
 * the envelope carries ``runtime: "wall"`` and the suite refuses to
   band-compare it against any sim baseline (``runtime_mismatch``);
 * it is excluded from the default deterministic sweep
-  (:data:`repro.bench.suite.WALL_BENCHES`) and runs in its own CI lane
+  (:data:`repro.bench.suite.WALL_BENCHES`) and runs in its own CI step
   with very wide tolerance bands;
 * the assertions defend liveness (non-zero committed update
-  throughput, bounded aborts), never a latency trajectory.
+  throughput — the suite's ``*_tps`` rule — and bounded aborts), never
+  a latency trajectory.
 """
 
-import json
 import tempfile
 
 from repro.bench.harness import run_sirep
@@ -91,9 +91,3 @@ def canonical_point(quick: bool = True) -> dict:
     # broken runtime, not a slow machine
     assert update_tps > 0.0, "wall-clock run committed no updates"
     return payload
-
-
-if __name__ == "__main__":
-    import sys
-
-    print(json.dumps(canonical_point(quick="--full" not in sys.argv), indent=2))

@@ -9,19 +9,14 @@ finish sooner — than shipping the donor's whole committed state.
 
 Sweep: database size x missed-transaction count, each recovered once in
 ``delta`` mode and once in ``full`` mode on otherwise identical
-clusters.  Results (plus the per-point recovery latency in simulated
-seconds) go to ``results/recovery.json`` (the CI artifact).
+clusters; each point also reports its recovery latency in simulated
+seconds.
 """
-
-import json
-import pathlib
 
 from repro.client import Driver
 from repro.core import ClusterConfig, SIRepCluster
 from repro.durable import DurabilityConfig
 from repro.obs import profile_run
-
-RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 DB_SIZES = (100, 400, 1600)
 DOWNTIME_TXNS = (5, 20)
@@ -137,10 +132,6 @@ def test_delta_recovery_beats_full_state_transfer(benchmark):
             f"{p['rows_or_records']:>5} rows  "
             f"{p['recovery_seconds']:.4f}s"
         )
-
-    RESULTS.mkdir(exist_ok=True)
-    with open(RESULTS / "recovery.json", "w") as fh:
-        json.dump({"points": points}, fh, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,9 @@ with a key space wide enough that write-write conflicts stay rare, and
 an offered load (600 tps) that saturates the 1- and 2-group configs.
 """
 
-import json
-import pathlib
-
 from repro.bench.costs import MicroCost
 from repro.bench.harness import run_sharded
 from repro.workloads.sharded import make_partitioned_workload, make_table_map
-
-RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 GROUP_COUNTS = (1, 2, 4)
 REPLICAS_PER_GROUP = 3
@@ -29,26 +24,34 @@ ROWS_PER_TABLE = 5000
 OFFERED_TPS = 600.0
 
 
+def _point(
+    n_groups: int,
+    duration: float = 5.0,
+    warmup: float = 1.0,
+    rows_per_table: int = ROWS_PER_TABLE,
+    profile: bool = False,
+):
+    workload = make_partitioned_workload(
+        n_groups,
+        tables_per_group=TABLES_PER_GROUP,
+        rows_per_table=rows_per_table,
+    )
+    return run_sharded(
+        workload,
+        OFFERED_TPS,
+        n_groups=n_groups,
+        replicas_per_group=REPLICAS_PER_GROUP,
+        cost_model=MicroCost,
+        table_map=make_table_map(n_groups, TABLES_PER_GROUP),
+        duration=duration,
+        warmup=warmup,
+        seed=0,
+        profile=profile,
+    )
+
+
 def _sweep():
-    points = {}
-    for n_groups in GROUP_COUNTS:
-        workload = make_partitioned_workload(
-            n_groups,
-            tables_per_group=TABLES_PER_GROUP,
-            rows_per_table=ROWS_PER_TABLE,
-        )
-        points[n_groups] = run_sharded(
-            workload,
-            OFFERED_TPS,
-            n_groups=n_groups,
-            replicas_per_group=REPLICAS_PER_GROUP,
-            cost_model=MicroCost,
-            table_map=make_table_map(n_groups, TABLES_PER_GROUP),
-            duration=5.0,
-            warmup=1.0,
-            seed=0,
-        )
-    return points
+    return {n_groups: _point(n_groups) for n_groups in GROUP_COUNTS}
 
 
 def test_shard_scaling(benchmark):
@@ -62,27 +65,6 @@ def test_shard_scaling(benchmark):
             f"groups={g}: {p.throughput:.1f} tps committed "
             f"(x{ratios[g]:.2f}), abort rate {p.abort_rate:.3f}"
         )
-
-    RESULTS.mkdir(exist_ok=True)
-    (RESULTS / "shard_scaling.json").write_text(
-        json.dumps(
-            {
-                "offered_tps": OFFERED_TPS,
-                "replicas_per_group": REPLICAS_PER_GROUP,
-                "points": {
-                    str(g): {
-                        "throughput": points[g].throughput,
-                        "speedup": ratios[g],
-                        "update_rt_ms": points[g].rt("update"),
-                        "abort_rate": points[g].abort_rate,
-                        "extras": points[g].extras,
-                    }
-                    for g in GROUP_COUNTS
-                },
-            },
-            indent=2,
-        )
-    )
 
     # near-linear update scaling once certification is per-group
     assert ratios[2] >= 1.6
@@ -104,21 +86,11 @@ def canonical_point(quick: bool = True) -> dict:
     """Shard-scaling anchor: 2 groups, router spans stitched to branches."""
     duration, warmup = (2.5, 0.5) if quick else (5.0, 1.0)
     rows_per_table = 1000 if quick else ROWS_PER_TABLE
-    workload = make_partitioned_workload(
+    point = _point(
         CANONICAL_GROUPS,
-        tables_per_group=TABLES_PER_GROUP,
-        rows_per_table=rows_per_table,
-    )
-    point = run_sharded(
-        workload,
-        OFFERED_TPS,
-        n_groups=CANONICAL_GROUPS,
-        replicas_per_group=REPLICAS_PER_GROUP,
-        cost_model=MicroCost,
-        table_map=make_table_map(CANONICAL_GROUPS, TABLES_PER_GROUP),
         duration=duration,
         warmup=warmup,
-        seed=0,
+        rows_per_table=rows_per_table,
         profile=True,
     )
     return {

@@ -136,7 +136,6 @@ def run_sirep(
     reader: Optional["ReaderConfig"] = None,
     n_clients: Optional[int] = None,
     salvage: bool = False,
-    salvage_defer_depth: int = 16,
     cpu_servers: int = 1,
     profile: bool = False,
     runtime: str = "sim",
@@ -187,7 +186,6 @@ def run_sirep(
             read_replicas=read_replicas,
             reader=reader,
             salvage=salvage,
-            salvage_defer_depth=salvage_defer_depth,
             cpu_servers=cpu_servers,
             runtime=runtime,
             durability=durability,

@@ -4,13 +4,17 @@
 canonical point (batching, contention, read_scaling, shard_scaling,
 recovery, micro_ops), stamps the result with config/seed/git metadata,
 and writes one strict-JSON ``BENCH_<name>.json`` per benchmark at the
-repo root (gitignored scratch; ``results/`` stays the curated artifact
-directory).  Against a committed baseline under
-``benchmarks/baselines/`` every numeric metric is compared with a
-per-metric tolerance band; ``--check`` turns any out-of-band metric,
-missing baseline, or structurally invalid result into a non-zero exit
-for the CI perf-trajectory lane.  ``--update-baselines`` re-stamps the
-baselines from the current run (review the diff before committing).
+repo root (gitignored scratch).  These envelopes are the only
+machine-readable benchmark output; the pytest benches under
+``benchmarks/`` assert their shapes in memory and write nothing.
+Against a committed baseline under ``benchmarks/baselines/`` every
+numeric metric is compared with a per-metric tolerance band, every
+profile group the baseline attributes must stay attributed, and every
+``*_tps`` metric the baseline shows positive must stay positive;
+``--check`` turns any violation, missing baseline, or structurally
+invalid result into a non-zero exit for the CI perf-trajectory job.
+``--update-baselines`` re-stamps the baselines from the current run
+(review the diff before committing).
 
 The simulated benchmarks are deterministic given their seeds, so their
 bands are drift *allowances* for intentional code changes, not noise
@@ -52,6 +56,9 @@ SCHEMA = 1
 #: attribution must sum to end-to-end within 1% (ISSUE-9 acceptance)
 ATTRIBUTION_ERROR_MAX = 0.01
 
+#: transaction groups of a repro.obs.profile report
+PROFILE_GROUPS = ("updates", "reads")
+
 #: suite name -> (module stem under benchmarks/, canonical callable)
 BENCHES: dict[str, tuple[str, str]] = {
     "batching": ("bench_batching", "canonical_point"),
@@ -64,10 +71,10 @@ BENCHES: dict[str, tuple[str, str]] = {
 }
 
 #: benches measuring real elapsed time on the wall-clock runtime.  They
-#: are excluded from the default sweep (the sim perf-trajectory lane
-#: must stay deterministic) and run via ``--only`` in the CI realtime
-#: lane; their envelopes carry ``runtime: "wall"`` and are only ever
-#: compared against wall baselines.
+#: are excluded from the default sweep (the sim trajectory must stay
+#: deterministic) and run via ``--only`` in their own CI step; their
+#: envelopes carry ``runtime: "wall"`` and are only ever compared
+#: against wall baselines.
 WALL_BENCHES: frozenset[str] = frozenset({"realtime"})
 
 
@@ -209,6 +216,11 @@ def _is_number(value) -> bool:
     )
 
 
+def _attributed(stats: Optional[dict]) -> bool:
+    """A profile group with transactions and a phase breakdown."""
+    return bool(stats and stats.get("n") and stats.get("phases"))
+
+
 def validate_result(result: dict) -> list[str]:
     """Structural checks: strict JSON + phase-attribution integrity."""
     errors = []
@@ -224,7 +236,7 @@ def validate_result(result: dict) -> list[str]:
     profile = result.get("profile")
     if profile is not None:
         attributed = False
-        for group in ("updates", "reads"):
+        for group in PROFILE_GROUPS:
             stats = profile.get(group)
             if not stats or not stats.get("n"):
                 continue
@@ -266,6 +278,21 @@ def compare_result(name: str, result: dict, baseline: dict) -> list[dict]:
             }
         ]
     violations = []
+    # a phase attribution the baseline had must not silently vanish
+    base_profile = baseline.get("profile") or {}
+    cur_profile = result.get("profile") or {}
+    for group in PROFILE_GROUPS:
+        if _attributed(base_profile.get(group)) and not _attributed(
+            cur_profile.get(group)
+        ):
+            violations.append(
+                {
+                    "metric": f"profile.{group}",
+                    "kind": "unattributed",
+                    "baseline": base_profile[group]["n"],
+                    "current": (cur_profile.get(group) or {}).get("n"),
+                }
+            )
     tols = TOLERANCES.get(name, {})
     default = tols.get("*", DEFAULT_TOL)
     current = result.get("metrics") or {}
@@ -279,6 +306,17 @@ def compare_result(name: str, result: dict, baseline: dict) -> list[dict]:
                 {
                     "metric": metric,
                     "kind": "missing",
+                    "baseline": base,
+                    "current": cur,
+                }
+            )
+            continue
+        # liveness: wide bands (wall clock) must not admit a dead run
+        if metric.endswith("_tps") and base > 0 and cur <= 0:
+            violations.append(
+                {
+                    "metric": metric,
+                    "kind": "not_live",
                     "baseline": base,
                     "current": cur,
                 }
@@ -320,7 +358,7 @@ def run_suite(
 
     Without explicit ``names`` the sweep covers the deterministic sim
     benches only; wall-clock benches (:data:`WALL_BENCHES`) opt in via
-    ``names``/``--only`` so the perf-trajectory lane stays reproducible.
+    ``names``/``--only`` so the default sweep stays reproducible.
     """
     names = list(names) if names else [n for n in BENCHES if n not in WALL_BENCHES]
     inject = set(inject_slowdown or ())
@@ -383,8 +421,11 @@ def _render_report(report: dict, strict_baseline: bool) -> tuple[str, bool]:
             elif v["kind"] == "missing":
                 problems.append(f"{v['metric']}: missing from current run")
             else:
+                label = v["kind"]
+                if v["metric"]:
+                    label = f"{v['metric']}: {label}"
                 problems.append(
-                    f"{v['kind']}: baseline={v['baseline']!r} "
+                    f"{label}: baseline={v['baseline']!r} "
                     f"current={v['current']!r}"
                 )
         if entry["baseline"] is None:

@@ -31,6 +31,13 @@ from repro.sim import Resource, Simulator
 from repro.storage import Database
 from repro.storage.engine import CostModel
 
+#: backpressure bound for salvage's blind-write deferral: while the local
+#: to-commit queue is at most this deep, blind first-updater conflicts
+#: defer to certification (where salvage re-homes them); past it the
+#: replica sheds load the classic way — eager aborts — so commit latency
+#: stays bounded under overload
+SALVAGE_DEFER_DEPTH = 16
+
 
 @dataclass
 class ClusterConfig:
@@ -46,21 +53,15 @@ class ClusterConfig:
     #: when every conflicting key was written blindly (never read) and
     #: its dependent readset is unchanged — first-committer-wins stays in
     #: force for read-modify-write keys.  Opt-in; all replicas share it.
+    #: Blind first-updater conflicts then defer to certification while
+    #: the local to-commit queue is shallow (:data:`SALVAGE_DEFER_DEPTH`).
+    #: Salvage also turns on group-commit pipelining: a conflicting
+    #: successor starts applying once its predecessor's versions are
+    #: installed, while the predecessor's durability force is still
+    #: batched in the group log (the client ack always waits for the
+    #: force).  Deferral keeps conflicting entries alive in the queue,
+    #: where chained installs would otherwise pay one full force per link.
     salvage: bool = False
-    #: backpressure bound for salvage's blind-write deferral: while the
-    #: local to-commit queue is at most this deep, blind first-updater
-    #: conflicts defer to certification (where salvage re-homes them);
-    #: past it the replica sheds load the classic way — eager aborts —
-    #: so commit latency stays bounded under overload
-    salvage_defer_depth: int = 16
-    #: group-commit pipelining: a conflicting successor starts applying
-    #: once its predecessor's versions are installed, while the
-    #: predecessor's durability force is still batched in the group log
-    #: (the client ack always waits for the force).  ``None`` follows
-    #: ``salvage``: deferral keeps conflicting entries alive in the
-    #: queue, where chained installs would otherwise pay one full force
-    #: per link.
-    commit_pipeline: Optional[bool] = None
     seed: int = 0
     gcs: GcsConfig = field(default_factory=GcsConfig)
     net_base_latency: float = 0.0002
@@ -322,18 +323,12 @@ class SIRepCluster:
         )
         replica.tracer = self.tracer
         replica.manager.tracer = self.tracer
-        replica.manager.commit_pipeline = (
-            cfg.commit_pipeline
-            if cfg.commit_pipeline is not None
-            else cfg.salvage
-        )
+        replica.manager.commit_pipeline = cfg.salvage
         if cfg.salvage:
             # deferral stays open only while the to-commit queue is
             # shallow; past the cap the engine's eager aborts shed load
-            db.defer_gate = (
-                lambda queue=replica.manager.queue,
-                cap=cfg.salvage_defer_depth: len(queue) <= cap
-            )
+            queue = replica.manager.queue
+            db.defer_gate = lambda: len(queue) <= SALVAGE_DEFER_DEPTH
         return node, replica
 
     def _add_replica(self, index: int) -> None:
@@ -953,7 +948,7 @@ class SIRepCluster:
             out["monitor"] = self.monitor.summary()
         if self.obs is not None and self._owns_obs:
             out["obs"] = self.obs.snapshot()
-        # strict JSON: results/*.json must never contain literal NaN
+        # strict JSON: exported metrics must never contain literal NaN
         return sanitize(out)
 
     def stop(self) -> None:

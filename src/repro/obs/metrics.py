@@ -42,8 +42,9 @@ def sanitize(obj: Any) -> Any:
     """Replace NaN/±inf floats with ``None``, recursively.
 
     ``json.dump`` happily writes literal ``NaN`` (invalid JSON) unless
-    told otherwise; every metrics/trace dict headed for ``results/``
-    goes through here first so the files stay loadable.
+    told otherwise; every metrics/trace dict headed for a JSON export
+    (BENCH envelopes, event-log and flight dumps) goes through here first
+    so the files stay loadable.
     """
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None

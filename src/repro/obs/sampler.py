@@ -3,9 +3,10 @@
 Queue depths, hole counts, and buffer occupancies are *instantaneous*
 quantities — counters can't recover them after the fact.  The
 :class:`Sampler` is a daemon process that probes every registered gauge
-on a fixed cadence and keeps a bounded time-series, which is what the
-bench harness exports to ``results/`` (queue-depth and hole-age curves
-under load are the §6 "where does the latency come from" evidence).
+on a fixed cadence and keeps a bounded time-series, which the bench
+harness carries in each measured point's extras (queue-depth and
+hole-age curves under load are the §6 "where does the latency come
+from" evidence).
 
 Sampling only *reads* component state: no gates are notified, no RNG
 streams are drawn from, and no process is delayed, so enabling the

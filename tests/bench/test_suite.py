@@ -4,7 +4,7 @@ Band/validation logic is unit-tested on synthetic envelopes (no sim
 runs); one real canonical point (micro_ops, the cheapest) exercises the
 benchmarks/-loading path end to end.  The negative test — an injected
 synthetic slowdown must trip the bands — runs through ``run_suite``
-with a stubbed measurement, exactly the path the CI lane drives.
+with a stubbed measurement, exactly the path the CI negative test drives.
 """
 
 import json
@@ -120,6 +120,46 @@ def test_compare_flags_runtime_mismatch():
     sim_result = envelope(metrics={"throughput_tps": 100.0})
     sim_result["runtime"] = "sim"
     assert compare_result("batching", sim_result, base) == []
+
+
+def test_compare_flags_lost_profile_attribution():
+    """A profile group the baseline attributes must stay attributed:
+    a run whose profile lost the group, or kept it with no phases, or
+    dropped the profile altogether is flagged."""
+    base = envelope(metrics={"throughput_tps": 100.0})
+    assert compare_result("batching", envelope(), base) == []
+    no_profile = envelope(profile=None)
+    missing_group = envelope()
+    del missing_group["profile"]["updates"]
+    unattributed = envelope()
+    unattributed["profile"]["updates"]["phases"] = {}
+    empty = envelope()
+    empty["profile"]["updates"]["n"] = 0
+    for cur in (no_profile, missing_group, unattributed, empty):
+        violations = compare_result("batching", cur, base)
+        assert [(v["metric"], v["kind"]) for v in violations] == [
+            ("profile.updates", "unattributed")
+        ]
+    # a group the baseline never attributed is not required
+    assert compare_result("batching", envelope(), envelope(profile=None)) == []
+
+
+def test_compare_flags_dead_tps_against_live_wall_baseline():
+    """The realtime bands are wide enough to admit 0 tps; liveness is its
+    own rule: a ``*_tps`` metric positive in the baseline must stay
+    positive, whatever the band."""
+    base = envelope(metrics={"update_tps": 40.0, "abort_rate": 0.0}, profile=None)
+    base["runtime"] = "wall"
+    dead = envelope(metrics={"update_tps": 0.0, "abort_rate": 0.0}, profile=None)
+    dead["runtime"] = "wall"
+    assert [
+        (v["metric"], v["kind"]) for v in compare_result("realtime", dead, base)
+    ] == [("update_tps", "not_live")]
+    alive = envelope(metrics={"update_tps": 5.0, "abort_rate": 0.0}, profile=None)
+    alive["runtime"] = "wall"
+    assert compare_result("realtime", alive, base) == []
+    # a baseline that was itself dead asks for no liveness
+    assert compare_result("realtime", dead, dead) == []
 
 
 def test_micro_ops_wall_clock_band_is_wide():

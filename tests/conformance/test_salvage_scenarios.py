@@ -150,8 +150,7 @@ def test_disjoint_keys_need_no_salvage():
 
 def test_knob_wiring_follows_salvage():
     """salvage=True wires blind-write deferral, the backpressure gate and
-    commit pipelining at every replica; commit_pipeline=False pins the
-    pipeline off without disturbing salvage itself."""
+    commit pipelining at every replica; salvage=False wires none."""
     on = build()
     assert all(r.db.defer_blind_ww for r in on.replicas)
     assert all(r.db.defer_gate is not None for r in on.replicas)
@@ -163,17 +162,14 @@ def test_knob_wiring_follows_salvage():
     assert all(r.db.defer_gate is None for r in off.replicas)
     assert not any(r.manager.commit_pipeline for r in off.replicas)
 
-    pinned = build(commit_pipeline=False)
-    assert all(r.db.defer_blind_ww for r in pinned.replicas)
-    assert not any(r.manager.commit_pipeline for r in pinned.replicas)
-
 
 def test_closed_gate_disables_deferral_but_not_salvage():
-    """With the backpressure gate pinned shut (depth -1: ``len(queue) <=
-    -1`` never holds) the engine falls back to eager first-updater
-    checks — no blind-write deferrals — yet certifier-side salvage still
-    rescues the blind loser."""
-    cluster = build(salvage_defer_depth=-1)
+    """With the backpressure gate pinned shut the engine falls back to
+    eager first-updater checks — no blind-write deferrals — yet
+    certifier-side salvage still rescues the blind loser."""
+    cluster = build()
+    for r in cluster.replicas:
+        r.db.defer_gate = lambda: False
     results = race(cluster, [
         ("UPDATE kv SET v = ? WHERE k = ?", (11, 1)),
         ("UPDATE kv SET v = ? WHERE k = ?", (22, 1)),
@@ -188,7 +184,9 @@ def test_closed_gate_disables_deferral_but_not_salvage():
 def test_pipeline_off_race_reaches_same_outcome():
     """Salvage semantics must not depend on commit pipelining: the same
     blind race resolves identically with the pipeline pinned off."""
-    cluster = build(commit_pipeline=False)
+    cluster = build()
+    for r in cluster.replicas:
+        r.manager.commit_pipeline = False
     results = race(cluster, [
         ("UPDATE kv SET v = ? WHERE k = ?", (11, 1)),
         ("UPDATE kv SET v = ? WHERE k = ?", (22, 1)),

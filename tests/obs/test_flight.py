@@ -127,7 +127,8 @@ def test_recorder_without_tracer_or_events(env, tmp_path):
 
 def test_cli_renders_the_committed_fixture(capsys):
     """The truncated quickstart capture kept in-repo (the full file is
-    regenerated by CI, not committed) must stay renderable."""
+    rewritten by every examples/trace_quickstart.py run, not committed)
+    must stay renderable."""
     import pathlib
 
     fixture = str(
